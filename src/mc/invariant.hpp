@@ -63,6 +63,17 @@ class Invariant {
     return false;
   }
 
+  /// Whether conflicts follow the default key/value rule, so LMC-OPT may find
+  /// a new state's conflicting partners by index lookup instead of scanning
+  /// every mapped state. A property of the invariant, not a user option.
+  /// Returning true is a contract — an invariant that opts in must:
+  ///  * not override projections_conflict (the default rule is the index's
+  ///    semantics);
+  ///  * never report projection_self_violates;
+  ///  * return projections whose keys are strictly ascending (no key twice).
+  /// tests/test_opt_index.cpp enforces this for every invariant that opts in.
+  virtual bool key_value_conflicts() const { return false; }
+
   /// Two projections together imply a possible violation. Default: some key
   /// present in both with different values.
   virtual bool projections_conflict(const Projection& a, const Projection& b) const {

@@ -74,6 +74,30 @@ bool LocalModelChecker::hard_budget_exceeded() const {
   return opt_.cancel != nullptr && opt_.cancel->load(std::memory_order_relaxed);
 }
 
+void LocalModelChecker::reset_projections() {
+  proj_.assign(cfg_.num_nodes, {});
+  mapped_.assign(cfg_.num_nodes, {});
+  kv_indexed_ = opt_.use_projection && invariant_ != nullptr && invariant_->has_projection() &&
+                invariant_->key_value_conflicts();
+  kv_index_.assign(kv_indexed_ ? cfg_.num_nodes : 0, {});
+}
+
+void LocalModelChecker::register_projection(NodeId n, std::uint32_t idx) {
+  if (invariant_ == nullptr || !invariant_->has_projection()) return;
+  Projection p = invariant_->project(cfg_, n, store_.rec(n, idx).blob);
+  if (!p.empty()) mapped_[n].push_back(idx);
+  if (kv_indexed_) {
+    for (const auto& [key, value] : p) {
+      std::vector<ValueBucket>& buckets = kv_index_[n][key];
+      auto b = std::find_if(buckets.begin(), buckets.end(),
+                            [&](const ValueBucket& vb) { return vb.value == value; });
+      if (b == buckets.end()) b = buckets.insert(buckets.end(), ValueBucket{value, {}});
+      b->idxs.push_back(idx);
+    }
+  }
+  proj_[n].push_back(std::move(p));
+}
+
 void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
                                  const std::vector<Message>& in_flight) {
   store_ = LocalStore(cfg_.num_nodes);
@@ -81,8 +105,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   events_.clear();
   epochs_.clear();
   internal_scan_.assign(cfg_.num_nodes, 0);
-  proj_.assign(cfg_.num_nodes, {});
-  mapped_.assign(cfg_.num_nodes, {});
+  reset_projections();
   node_gens_.assign(cfg_.num_nodes, {});
   pred_edges_.assign(cfg_.num_nodes, 0);
   por_fwd_.assign(cfg_.num_nodes, {});
@@ -102,7 +125,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   CheckerEpoch ep;
   ep.nodes = nodes;
   ep.msgs = in_flight;
-  const bool projecting = invariant_ != nullptr && invariant_->has_projection();
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     NodeStateRec rec;
     rec.blob = nodes[n];
@@ -115,11 +137,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     ++stats_.node_states;
     LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                      root_idx, root_hash, 0, 0.0, n)));
-    if (projecting) {
-      Projection p = invariant_->project(cfg_, n, nodes[n]);
-      if (!p.empty()) mapped_[n].push_back(0);
-      proj_[n].push_back(std::move(p));
-    }
+    register_projection(n, root_idx);
   }
   // Snapshot in-flight messages seed I+ and are available to soundness
   // verification without any generating event.
@@ -243,7 +261,6 @@ void LocalModelChecker::merge_snapshot(const std::vector<Blob>& nodes,
   ep.nodes = nodes;
   ep.msgs = in_flight;
   std::vector<std::pair<NodeId, std::uint32_t>> fresh;
-  const bool projecting = invariant_ != nullptr && invariant_->has_projection();
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     const Hash64 h = hash_blob(nodes[n]);
     LMC_PROF(opt_.profile, count(obs::Counter::kBytesHashed, nodes[n].size()));
@@ -263,11 +280,7 @@ void LocalModelChecker::merge_snapshot(const std::vector<Blob>& nodes,
       fresh.emplace_back(n, idx);
       LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                        idx, h, 0, 0.0, n)));
-      if (projecting) {
-        Projection p = invariant_->project(cfg_, n, nodes[n]);
-        if (!p.empty()) mapped_[n].push_back(idx);
-        proj_[n].push_back(std::move(p));
-      }
+      register_projection(n, idx);
     } else {
       ++stats_.warm_root_hits;
     }
@@ -793,11 +806,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                    idx, h2, pred.depth + 1, 0.0, e.node)));
 
-  if (invariant_ != nullptr && invariant_->has_projection()) {
-    Projection p = invariant_->project(cfg_, e.node, store_.rec(e.node, idx).blob);
-    if (!p.empty()) mapped_[e.node].push_back(idx);
-    proj_[e.node].push_back(std::move(p));
-  }
+  register_projection(e.node, idx);
 
   if (opt_.enable_system_states && invariant_ != nullptr && !stop_) {
     const double t0 = now_s();
@@ -1362,9 +1371,32 @@ void LocalModelChecker::sweep_opt(NodeId n, std::uint32_t idx, std::vector<Defer
     return;
   }
 
-  // Projection-pair scan: flatten the mapped candidate states of the other
-  // nodes and evaluate the conflict predicates in parallel shards; flagged
-  // pairs are emitted (and counted) serially in scan order.
+  if (kv_indexed_) {
+    // Key/value rule: the partners are exactly the states another node
+    // indexed under one of p's keys with a different value. Emitting them
+    // per node in ascending idx order reproduces the scan's (node, idx)
+    // order. Inline on the applier: the lookup is too small to fan out.
+    std::vector<std::uint32_t> partners;
+    for (NodeId m = 0; m < cfg_.num_nodes; ++m) {
+      if (m == n) continue;
+      partners.clear();
+      for (const auto& [key, value] : p) {
+        const auto it = kv_index_[m].find(key);
+        if (it == kv_index_[m].end()) continue;
+        for (const ValueBucket& b : it->second)
+          if (b.value != value) partners.insert(partners.end(), b.idxs.begin(), b.idxs.end());
+      }
+      std::sort(partners.begin(), partners.end());
+      partners.erase(std::unique(partners.begin(), partners.end()), partners.end());
+      for (std::uint32_t j : partners) emit(m, j, /*pair=*/true);
+    }
+    return;
+  }
+
+  // Custom conflict rules — projection-pair scan: flatten the mapped
+  // candidate states of the other nodes and evaluate the conflict predicates
+  // in parallel shards; flagged pairs are emitted (and counted) serially in
+  // scan order.
   struct Cand {
     NodeId m;
     std::uint32_t j;
@@ -1876,18 +1908,9 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
 
   // Projections are derived state — recompute from the invariant (the
   // checkpoint stays invariant-agnostic).
-  proj_.assign(cfg_.num_nodes, {});
-  mapped_.assign(cfg_.num_nodes, {});
-  if (invariant_ != nullptr && invariant_->has_projection()) {
-    for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
-      const std::uint32_t count = store_.size(n);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        Projection p = invariant_->project(cfg_, n, store_.rec(n, i).blob);
-        if (!p.empty()) mapped_[n].push_back(i);
-        proj_[n].push_back(std::move(p));
-      }
-    }
-  }
+  reset_projections();
+  for (NodeId n = 0; n < cfg_.num_nodes; ++n)
+    for (std::uint32_t i = 0; i < store_.size(n); ++i) register_projection(n, i);
   // Re-resolve the reduction against the restored store, then restore the
   // orbit seen-set so already-counted orbits are not re-processed. Options
   // must agree with the writing run: a symmetry-mode mismatch would splice

@@ -328,6 +328,22 @@ class LocalModelChecker {
   std::vector<std::uint32_t> internal_scan_;   ///< per node: next state to scan for HA
   std::vector<std::vector<Projection>> proj_;  ///< per node, parallel to LS_n (when projecting)
   std::vector<std::vector<std::uint32_t>> mapped_;  ///< per node: states with non-empty projection
+  /// LMC-OPT partner index for key/value-rule invariants
+  /// (Invariant::key_value_conflicts): per node, key -> one bucket per value
+  /// holding that node's mapped states in ascending idx order. Derived
+  /// state like proj_/mapped_ — rebuilt on checkpoint load, never saved.
+  struct ValueBucket {
+    std::uint64_t value;
+    std::vector<std::uint32_t> idxs;
+  };
+  using KeyIndex = std::unordered_map<std::uint64_t, std::vector<ValueBucket>>;
+  std::vector<KeyIndex> kv_index_;
+  bool kv_indexed_ = false;  ///< OPT sweep with a key/value-rule invariant
+  /// Empty proj_/mapped_/kv_index_ and decide whether the index is kept.
+  void reset_projections();
+  /// Project the stored state (n, idx) — the next state of LS_n — and
+  /// register it in proj_, mapped_ and the index. No-op without projection.
+  void register_projection(NodeId n, std::uint32_t idx);
 
   bool member_feasible(NodeId n, std::uint32_t idx);
   void record_confirmed(const std::vector<std::uint32_t>& combo, SoundnessResult res);

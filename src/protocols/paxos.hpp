@@ -91,6 +91,8 @@ class AgreementInvariant final : public Invariant {
   bool symmetric_under(const std::vector<std::vector<NodeId>>&) const override { return true; }
   bool has_projection() const override { return true; }
   Projection project(const SystemConfig& cfg, NodeId n, const Blob& state) const override;
+  /// Chosen maps are keyed by index, one value each: the default rule.
+  bool key_value_conflicts() const override { return true; }
 
  private:
   ChosenExtractor extract_;

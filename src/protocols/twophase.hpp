@@ -91,6 +91,7 @@ class AtomicityInvariant final : public Invariant {
   Projection project(const SystemConfig& cfg, NodeId n, const Blob& state) const override;
   // Default conflict rule: key 0, value = decision; differing decisions of
   // decided nodes conflict.
+  bool key_value_conflicts() const override { return true; }
 };
 
 }  // namespace lmc::twophase

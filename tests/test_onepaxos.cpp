@@ -3,8 +3,7 @@
 // the bug from the paper's live state.
 #include <gtest/gtest.h>
 
-#include <functional>
-
+#include "live_states.hpp"
 #include "mc/local_mc.hpp"
 #include "mc/replay.hpp"
 #include "protocols/onepaxos.hpp"
@@ -34,19 +33,8 @@ void fire_sending(const SystemConfig& cfg, std::vector<Blob>& nodes,
   for (Message& m : r.sent) flight.push_back(std::move(m));
 }
 
-/// FIFO-deliver every in-flight message, discarding those matching `drop`.
-void pump(const SystemConfig& cfg, std::vector<Blob>& nodes, std::vector<Message>& flight,
-          const std::function<bool(const Message&)>& drop) {
-  while (!flight.empty()) {
-    Message m = flight.front();
-    flight.erase(flight.begin());
-    if (drop(m)) continue;
-    ExecResult r = exec_message(cfg, m.dst, nodes[m.dst], m);
-    ASSERT_FALSE(r.assert_failed) << r.assert_msg;
-    nodes[m.dst] = std::move(r.state);
-    for (Message& out : r.sent) flight.push_back(std::move(out));
-  }
-}
+using live_states::build_5_6_live_state;
+using live_states::pump;
 
 TEST(OnePaxos, CorrectInitSeparatesLeaderAndAcceptor) {
   SystemConfig cfg = onepaxos::make_config(3, Options{});
@@ -131,43 +119,6 @@ TEST(OnePaxos, UtilityLogIsRealPaxos) {
   ASSERT_EQ(log.count(0), 1u);
   EXPECT_EQ(onepaxos::entry_kind(log.at(0)), onepaxos::EntryKind::LeaderChange);
   EXPECT_EQ(onepaxos::entry_node(log.at(0)), 2u);
-}
-
-// Build the §5.6 live state with the ++ bug: N3 (node 2) campaigns and wins
-// leadership while every message to N1 (node 0) is dropped; the new leader
-// proposes its value, chosen by nodes 1 and 2. Node 0 still believes it is
-// the leader and its cached acceptor is itself (the bug).
-std::vector<Blob> build_5_6_live_state(const SystemConfig& cfg) {
-  std::vector<Blob> nodes = initial_states(cfg);
-  std::vector<Message> flight;
-  for (NodeId n = 0; n < 3; ++n) {
-    ExecResult r = exec_internal(cfg, n, nodes[n], {onepaxos::kEvInit, {}});
-    EXPECT_FALSE(r.assert_failed);
-    nodes[n] = std::move(r.state);
-  }
-  auto drop_to_0 = [](const Message& m) { return m.dst == 0; };
-
-  ExecResult r = exec_internal(cfg, 2, nodes[2], {onepaxos::kEvSuspectLeader, {}});
-  EXPECT_FALSE(r.assert_failed);
-  nodes[2] = std::move(r.state);
-  for (Message& m : r.sent) flight.push_back(std::move(m));
-  pump(cfg, nodes, flight, drop_to_0);
-
-  // Node 2 is now leader with acceptor node 1; it proposes.
-  auto evs = internal_events_of(cfg, 2, nodes[2]);
-  bool proposed = false;
-  for (const InternalEvent& ev : evs) {
-    if (ev.kind == onepaxos::kEvPropose) {
-      ExecResult rr = exec_internal(cfg, 2, nodes[2], ev);
-      EXPECT_FALSE(rr.assert_failed);
-      nodes[2] = std::move(rr.state);
-      for (Message& m : rr.sent) flight.push_back(std::move(m));
-      proposed = true;
-    }
-  }
-  EXPECT_TRUE(proposed);
-  pump(cfg, nodes, flight, drop_to_0);
-  return nodes;
 }
 
 TEST(OnePaxos, Live56StateMatchesPaperScenario) {

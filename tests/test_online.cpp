@@ -170,16 +170,30 @@ TEST(CrystalBall, CleanOnCorrectPaxos) {
   auto inv = paxos::make_agreement_invariant();
   LiveRunner live(live_cfg, live_opts(1), first_enabled_driver());
 
+  // "Clean" means the same work on every machine: each period stops on its
+  // transition budget (or completes), never on the clock. Depth 14 does not
+  // complete inside this budget — the wall budget is only a safety net,
+  // generous enough for sanitizer builds.
+  constexpr std::uint64_t kPeriodTransitions = 250'000;
   CrystalBallOptions opt;
   opt.period = 60;
   opt.max_live_time = 900;  // 15 checker runs
   opt.mc.max_total_depth = 14;
   opt.mc.use_projection = true;
-  opt.mc.time_budget_s = 10;
+  opt.mc.max_transitions = kPeriodTransitions;
+  opt.mc.time_budget_s = 600;
+  int periods = 0;
+  opt.on_period = [&](const CrystalBallPeriod& p) {
+    ++periods;
+    EXPECT_TRUE(p.stats.completed || p.transitions >= kPeriodTransitions)
+        << "period " << p.index << " stopped on the clock after " << p.transitions
+        << " transitions";
+  };
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   CrystalBallResult res = cb.run();
   EXPECT_FALSE(res.found);
   EXPECT_EQ(res.runs, 15);
+  EXPECT_EQ(periods, 15);
 }
 
 TEST(CrystalBall, FindsPlusPlusBugIn1Paxos) {

@@ -16,6 +16,7 @@
 #include <map>
 #include <vector>
 
+#include "live_states.hpp"
 #include "mc/local_mc.hpp"
 #include "mc/replay.hpp"
 #include "mc/symmetry/role_group.hpp"
@@ -24,7 +25,7 @@
 namespace lmc {
 namespace {
 
-using paxos::DriverConfig;
+using namespace live_states;
 
 // Pinned counts for the seeded-buggy (§5.5 bug_last_response) variants. A
 // checker or protocol change that moves one of these must do so on purpose.
@@ -39,36 +40,6 @@ constexpr std::uint64_t kAccept5ReducedConfirmed = 1008;
 constexpr std::uint64_t kAccept5Combos = 5184, kAccept5Orbits = 1344;  // depth 1
 constexpr std::uint64_t kDuel5Combos = 21168, kDuel5Orbits = 7840;     // depth 2
 constexpr std::uint64_t kPart5Combos = 384, kPart5Orbits = 192;        // depth 3
-
-SystemConfig duel_cfg(std::uint32_t n, bool bug) {
-  return paxos::make_config(n, paxos::CoreOptions{0, bug}, DriverConfig{{0, 1}, 1});
-}
-
-bool deliver_one(const SystemConfig& cfg, std::vector<Blob>& nodes,
-                 std::vector<Message>& flight, NodeId dst, std::uint32_t type) {
-  for (std::size_t i = 0; i < flight.size(); ++i) {
-    if (flight[i].dst == dst && flight[i].type == type) {
-      Message m = flight[i];
-      flight.erase(flight.begin() + static_cast<std::ptrdiff_t>(i));
-      ExecResult r = exec_message(cfg, dst, nodes[dst], m);
-      EXPECT_FALSE(r.assert_failed);
-      nodes[dst] = std::move(r.state);
-      for (Message& out : r.sent) flight.push_back(std::move(out));
-      return true;
-    }
-  }
-  return false;
-}
-
-void fire_internal(const SystemConfig& cfg, std::vector<Blob>& nodes,
-                   std::vector<Message>& flight, NodeId n) {
-  auto evs = internal_events_of(cfg, n, nodes[n]);
-  ASSERT_FALSE(evs.empty());
-  ExecResult r = exec_internal(cfg, n, nodes[n], evs[0]);
-  ASSERT_FALSE(r.assert_failed);
-  nodes[n] = std::move(r.state);
-  for (Message& out : r.sent) flight.push_back(std::move(out));
-}
 
 // Checker options for the scenario runs. Symmetry requires the full-depth
 // sweep (max_total_depth stays unbounded, see resolve_symmetry), so the
@@ -106,106 +77,6 @@ void replay_all_confirmed(const SystemConfig& cfg, const LocalModelChecker& mc) 
     ++replayed;
   }
   EXPECT_EQ(replayed, mc.stats().confirmed_violations);
-}
-
-struct Live {
-  std::vector<Blob> nodes;
-  std::vector<Message> flight;
-};
-
-// Both proposers have fired their proposal; every Prepare is in flight.
-Live build_duel_state(const SystemConfig& cfg, std::uint32_t n) {
-  Live l;
-  l.nodes = initial_states(cfg);
-  for (NodeId i = 0; i < n; ++i) fire_internal(cfg, l.nodes, l.flight, i);  // init
-  fire_internal(cfg, l.nodes, l.flight, 0);
-  fire_internal(cfg, l.nodes, l.flight, 1);
-  return l;
-}
-
-// §5.5 generalized to n nodes: node0's proposal is chosen at the majority
-// {0..maj-1}, but only node0 learned it — every other Learn was dropped
-// (the "acceptor crashed after promising" shape). Proposer 1 has not moved
-// yet; the checker must FIND the interleaving where its second round
-// collects a stale promise set the bug_last_response variant mishandles.
-Live build_stale_promise_state(const SystemConfig& cfg, std::uint32_t n) {
-  Live l;
-  l.nodes = initial_states(cfg);
-  for (NodeId i = 0; i < n; ++i) fire_internal(cfg, l.nodes, l.flight, i);
-  fire_internal(cfg, l.nodes, l.flight, 0);
-  for (NodeId i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kPrepare));
-  for (std::uint32_t i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kPrepareResponse));
-  const std::uint32_t maj = n / 2 + 1;
-  for (NodeId i = 0; i < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kAccept));
-  for (std::uint32_t i = 0; i < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kLearn));
-  l.flight.clear();
-
-  auto chosen0 = paxos::chosen_map_of(cfg, 0, l.nodes[0]);
-  EXPECT_EQ(chosen0.size(), 1u);
-  EXPECT_EQ(chosen0[0], 1u);  // node0's proposed value is self+1
-  for (NodeId i = 1; i < n; ++i)
-    EXPECT_TRUE(paxos::chosen_map_of(cfg, i, l.nodes[i]).empty());
-  return l;
-}
-
-// The stale-promise scenario staged all the way into proposer 1's second
-// round (at 5 nodes the checker cannot reach this interleaving within a
-// feasible chain depth, so the prefix is concrete): proposer 1's Prepares
-// are delivered so that a PROMISE-ONLY response is the last one inside its
-// first quorum — exactly the ordering where bug_last_response discards the
-// accepted value and proposes its own — then its Accepts land everywhere
-// and all but maj-1 of the round-2 Learns stay in flight.
-Live build_accept_race_state(const SystemConfig& cfg, std::uint32_t n) {
-  Live l;
-  l.nodes = initial_states(cfg);
-  const std::uint32_t maj = n / 2 + 1;
-  for (NodeId i = 0; i < n; ++i) fire_internal(cfg, l.nodes, l.flight, i);
-  // Round 1 = the stale-promise prefix: v1 chosen at {0..maj-1}, node0 knows.
-  fire_internal(cfg, l.nodes, l.flight, 0);
-  for (NodeId i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kPrepare));
-  for (std::uint32_t i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kPrepareResponse));
-  for (NodeId i = 0; i < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kAccept));
-  for (std::uint32_t i = 0; i < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kLearn));
-  l.flight.clear();
-  // Round 2: proposer 1 prepares; an empty promise is last in its quorum.
-  fire_internal(cfg, l.nodes, l.flight, 1);
-  EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kPrepare));
-  for (NodeId i = maj; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kPrepare));
-  for (NodeId i = 1; i < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kPrepare));
-  for (std::uint32_t i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 1, paxos::kPrepareResponse));
-  for (NodeId i = 0; i < n; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kAccept));
-  for (std::uint32_t i = 0; i + 1 < maj; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 1, paxos::kLearn));
-  return l;
-}
-
-// Minority partition: node0's Prepare reached only {0,1} — no quorum at
-// n>=3 — before the partition ate the rest. Nothing was ever accepted.
-Live build_partition_state(const SystemConfig& cfg, std::uint32_t n) {
-  Live l;
-  l.nodes = initial_states(cfg);
-  for (NodeId i = 0; i < n; ++i) fire_internal(cfg, l.nodes, l.flight, i);
-  fire_internal(cfg, l.nodes, l.flight, 0);
-  for (NodeId i = 0; i < 2; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, i, paxos::kPrepare));
-  for (std::uint32_t i = 0; i < 2; ++i)
-    EXPECT_TRUE(deliver_one(cfg, l.nodes, l.flight, 0, paxos::kPrepareResponse));
-  l.flight.clear();
-  for (NodeId i = 0; i < n; ++i)
-    EXPECT_TRUE(paxos::chosen_map_of(cfg, i, l.nodes[i]).empty());
-  return l;
 }
 
 // --- 3-node scenarios (below the class-size threshold; plain checker) ------
