@@ -90,10 +90,10 @@ void BM_SoundnessVerifyOneCombo(benchmark::State& state) {
   mc.run_from_initial();
   std::vector<std::uint32_t> combo;
   for (NodeId n = 0; n < 3; ++n) combo.push_back(mc.store().size(n) - 1);
-  for (auto _ : state) {
-    SoundnessVerifier v(mc.store(), mc.initial_in_flight_hashes(), {});
-    benchmark::DoNotOptimize(v.verify(combo));
-  }
+  // The checker builds its soundness index once and every job only calls
+  // verify(), so the index build stays outside the timed loop.
+  const SoundnessVerifier v(mc.store(), mc.initial_in_flight_hashes(), {});
+  for (auto _ : state) benchmark::DoNotOptimize(v.verify(combo));
 }
 BENCHMARK(BM_SoundnessVerifyOneCombo);
 

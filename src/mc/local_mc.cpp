@@ -107,7 +107,9 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   internal_scan_.assign(cfg_.num_nodes, 0);
   reset_projections();
   node_gens_.assign(cfg_.num_nodes, {});
+  sent_log_.assign(cfg_.num_nodes, {});
   pred_edges_.assign(cfg_.num_nodes, 0);
+  sidx_.reset();
   por_fwd_.assign(cfg_.num_nodes, {});
   por_deferred_.clear();
   por_audit_ctr_ = 0;
@@ -324,11 +326,12 @@ void LocalModelChecker::merge_snapshot(const std::vector<Blob>& nodes,
   }
 }
 
-std::vector<EpochSeed> LocalModelChecker::epoch_seeds() const {
-  std::vector<EpochSeed> seeds;
-  seeds.reserve(epochs_.size());
-  for (const CheckerEpoch& e : epochs_) seeds.push_back(EpochSeed{e.roots, e.in_flight});
-  return seeds;
+const SoundnessIndex& LocalModelChecker::soundness_index() {
+  if (!sidx_) sidx_ = std::make_unique<SoundnessIndex>(cfg_.num_nodes);
+  for (std::size_t e = sidx_->epochs().size(); e < epochs_.size(); ++e)
+    sidx_->add_epoch(epochs_[e].roots, epochs_[e].in_flight);
+  sidx_->refresh(store_, &pred_edges_, &sent_log_);
+  return *sidx_;
 }
 
 std::size_t LocalModelChecker::total_in_flight() const {
@@ -719,7 +722,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   for (const Message& m : e.result.sent) {
     Hash64 h = m.hash();
     gen.push_back(h);
-    node_gens_[e.node].insert(h);
+    if (node_gens_[e.node].insert(h).second) sent_log_[e.node].push_back(h);
     if (net_.add(m)) {
       EventRecord er;
       er.is_message = true;
@@ -902,11 +905,7 @@ bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
       return it->second.feasible;
   }
 
-  std::unordered_set<Hash64> other_avail;
-  for (NodeId m = 0; m < cfg_.num_nodes; ++m)
-    if (m != n) other_avail.insert(node_gens_[m].begin(), node_gens_[m].end());
-  SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, epoch_seeds(), opt_.soundness);
-  const bool feasible = verifier.target_feasible(n, idx, other_avail);
+  const bool feasible = SoundnessVerifier(*sidx_, store_, opt_.soundness).target_feasible(n, idx);
   {
     std::lock_guard<std::mutex> lk(stripe.mu);
     stripe.map[key] = FeasEntry{feasible, sig};
@@ -934,14 +933,17 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     std::uint64_t tried = 0;  ///< symmetry jobs: concrete assignments expanded
   };
   std::vector<Outcome> out(jobs.size());
-  const std::vector<EpochSeed> seeds = epoch_seeds();
+  // Catch the shared index up with the store on this (merging) thread; the
+  // workers below only read it.
+  const SoundnessIndex& sidx = soundness_index();
   obs::TraceSink* const tsink = opt_.trace;
   obs::ProfileSink* const psink = opt_.profile;
   const obs::Phase tphase = phase2 ? obs::Phase::kDrain : obs::Phase::kSoundness;
   const double wall_t0 = now_s();
 
   // Fan out: every job is verified independently against the frozen stores
-  // by its own SoundnessVerifier instance; outcomes land in per-job slots.
+  // and index by its own borrowing SoundnessVerifier; outcomes land in
+  // per-job slots.
   pool_run(jobs.size(), [&](std::size_t i) {
     Outcome& o = out[i];
     if (hard_budget_exceeded()) return;  // stays Skipped
@@ -977,8 +979,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
             return true;  // next assignment
           }
         const double t0 = now_s();
-        SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, seeds, opt_.soundness);
-        SoundnessResult res = verifier.verify(combo, nullptr);
+        SoundnessResult res = SoundnessVerifier(sidx, store_, opt_.soundness).verify(combo);
         secs += now_s() - t0;
         ++calls;
         seqs += res.schedules_checked;
@@ -1043,8 +1044,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     const bool quick = !phase2 && so.quick_expansions != 0;
     if (quick) so.max_schedules = std::min(so.max_schedules, so.quick_expansions);
     const double t0 = now_s();
-    SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, seeds, so);
-    o.res = verifier.verify(d.combo, d.has_mask ? &d.fixed : nullptr);
+    o.res = SoundnessVerifier(sidx, store_, so).verify(d.combo, d.has_mask ? &d.fixed : nullptr);
     o.secs = now_s() - t0;
     o.kind = o.res.sound ? Kind::Sound
                          : (quick && o.res.truncated ? Kind::Defer : Kind::Unsound);
@@ -1885,9 +1885,13 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   epochs_ = std::move(img.epochs);
   internal_scan_ = std::move(img.internal_scan);
   node_gens_.assign(cfg_.num_nodes, {});
-  for (NodeId n = 0; n < cfg_.num_nodes; ++n)
+  sent_log_.assign(cfg_.num_nodes, {});
+  for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     node_gens_[n].insert(img.node_gens[n].begin(), img.node_gens[n].end());
+    sent_log_[n].assign(node_gens_[n].begin(), node_gens_[n].end());
+  }
   pred_edges_ = std::move(img.pred_edges);
+  sidx_.reset();
   stats_ = img.stats;
   deferred_.clear();
   deferred_.reserve(img.deferred.size());

@@ -314,7 +314,9 @@ class LocalModelChecker {
   void finalize_stats();
   void maybe_auto_checkpoint();
   CheckerImage make_image() const;
-  std::vector<EpochSeed> epoch_seeds() const;
+  /// The shared soundness index, created on first use and caught up with
+  /// the store, the epochs and sent_log_. Merging thread only.
+  const SoundnessIndex& soundness_index();
   std::size_t total_in_flight() const;
 
   const SystemConfig& cfg_;
@@ -502,8 +504,16 @@ class LocalModelChecker {
   /// Message hashes each node's recorded transitions can generate; feeds
   /// the per-member feasibility pre-check (see SoundnessVerifier).
   std::vector<std::unordered_set<Hash64>> node_gens_;
+  /// node_gens_ in insertion order, so the soundness index ingests only
+  /// the new tail. Runtime-only: rebuilt from node_gens_ on checkpoint load.
+  std::vector<std::vector<Hash64>> sent_log_;
+  /// Flat edge index every verification reads (see SoundnessIndex). Built
+  /// lazily — runs that never verify never allocate one — and refreshed
+  /// from pred_edges_ before each verification fan-out. Runtime-only.
+  std::unique_ptr<SoundnessIndex> sidx_;
   /// Pred/self-loop edges recorded per node (feasibility cache signature:
-  /// a new edge anywhere in the node's graph can open new paths).
+  /// a new edge anywhere in the node's graph can open new paths; also the
+  /// per-node generation the soundness index refreshes against).
   std::vector<std::uint64_t> pred_edges_;
   struct FeasEntry {
     bool feasible = false;

@@ -11,19 +11,27 @@
 // materialized sequence sets overflow any cap before the one valid path is
 // found, so verify() instead runs a *joint demand-driven search* over the
 // same predecessor structure:
-//  1. per node, collect the backward closure of the target state — the
-//     sub-DAG of states on some root->target path — and its forward edges;
-//  2. prune message edges whose message hash no other edge (or the
+//  1. per node, mark the backward closure of the target state — the states
+//     on some root->target path — and its edges;
+//  2. prune message edges whose message no other live edge (or the
 //     snapshot's in-flight set, or a recorded self-loop) can generate, and
 //     drop states from which the target becomes unreachable;
 //  3. DFS over joint positions (one per node) plus the multiset of
-//     generated-but-unconsumed message hashes, memoizing visited joint
-//     states; internal edges are always enabled, message edges need their
-//     hash in the multiset; recorded self-loops fire when they contribute
-//     a new message.
+//     generated-but-unconsumed messages, memoizing visited joint states;
+//     internal edges are always enabled, message edges need their message
+//     in the multiset; recorded self-loops fire when they contribute a new
+//     message.
 // A run that parks every node on its target state is a feasible schedule;
 // it is returned as the witness (and can be re-executed by the replay
-// validator). Everything is integer/hash comparisons — no handler runs.
+// validator). Everything is integer comparisons — no handler runs.
+//
+// All three steps run on a SoundnessIndex: a flat per-node edge index
+// (forward and backward CSR, every message hash interned to a dense id)
+// built once from the LocalStore and caught up incrementally as the store
+// grows, so a verification touches only small per-call arrays (closure
+// marks, alive flags, an availability bitset, a message count vector) —
+// the "build each component once, reuse it in every composition" of
+// partial model checking.
 //
 // The sequence-based primitives of the paper (enumerate_sequences,
 // is_sequence_valid) are kept as a public API: they are the direct
@@ -31,7 +39,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "mc/local_store.hpp"
@@ -67,22 +76,112 @@ struct SoundnessResult {
   bool truncated = false;               ///< some cap was hit (result may be incomplete)
 };
 
-/// One snapshot's soundness seed: per-node root state indices plus the
-/// in-flight message hashes that exist without any generating event. A
-/// feasible schedule starts every node on the SAME epoch's root — each live
-/// snapshot is a consistent global state, so combining roots of different
-/// epochs could fabricate runs no deployment produced.
-struct EpochSeed {
-  std::vector<std::uint32_t> roots;   ///< per node: index into LS_n
-  std::vector<Hash64> in_flight;      ///< snapshot's in-flight message hashes
+/// The transition graphs of a LocalStore, flattened for soundness
+/// verification. Per node it holds every pred and self-loop edge once, a
+/// forward CSR (edges grouped by source; within a source by target state,
+/// then by position in the target's pred list — a self-loop sits at its own
+/// state), a backward CSR (edges grouped by target: the pred->edge map of
+/// the closure BFS), a consumer CSR (message edges by consumed message),
+/// per-message generation counts, and a bitset of the messages the node is
+/// known to send. Message hashes are interned to dense u32 ids shared by all nodes.
+/// The index also carries the epoch seeds (per-node roots plus in-flight
+/// messages) that schedules start from.
+///
+/// The index is append-only, like the store: refresh() ingests only the
+/// states and edges added since the last call. It is not thread-safe to
+/// refresh; between refreshes it is immutable and any number of verifiers
+/// may read it concurrently.
+class SoundnessIndex {
+ public:
+  static constexpr std::uint32_t kNoMsg = UINT32_MAX;
+
+  struct Edge {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;                ///< == from for a self-loop
+    std::uint32_t msg = kNoMsg;          ///< dense id of the consumed message; kNoMsg: internal
+    std::uint32_t gen_begin = 0;         ///< generated messages: gen_ids[gen_begin, gen_end)
+    std::uint32_t gen_end = 0;
+    bool self_loop = false;
+    Hash64 ev_hash = 0;                  ///< event hash (schedule steps)
+  };
+
+  struct NodeGraph {
+    std::vector<Edge> edges;             ///< ingestion order
+    std::vector<std::uint32_t> gen_ids;  ///< generated-message spans of `edges`
+    std::vector<std::uint32_t> out_off;  ///< forward CSR offsets (states + 1)
+    std::vector<std::uint32_t> out;      ///< edge ids grouped by source
+    std::vector<std::uint32_t> in_off;   ///< backward CSR offsets (states + 1)
+    std::vector<std::uint32_t> in;       ///< edge ids grouped by target (self-loops included)
+    std::vector<std::uint32_t> msg_off;  ///< consumer CSR offsets (max consumed id + 2)
+    std::vector<std::uint32_t> by_msg;   ///< message edge ids grouped by consumed message
+    /// Per message id: occurrences in the gen lists of all edges.
+    std::vector<std::uint32_t> gen_count;
+    std::vector<std::uint64_t> sends;    ///< bitset over message ids
+    std::uint32_t num_states() const {
+      return out_off.empty() ? 0 : static_cast<std::uint32_t>(out_off.size() - 1);
+    }
+  };
+
+  struct Epoch {
+    std::vector<std::uint32_t> roots;      ///< per node: index into LS_n
+    std::vector<std::uint32_t> in_flight;  ///< message ids (with multiplicity)
+  };
+
+  explicit SoundnessIndex(std::uint32_t num_nodes) : nodes_(num_nodes), cursors_(num_nodes) {}
+
+  /// Register one more snapshot seed (offline runs have exactly one).
+  void add_epoch(const std::vector<std::uint32_t>& roots, const std::vector<Hash64>& in_flight);
+
+  /// Catch up with `store`. With `edge_counts` (node n's pred + self-loop
+  /// edge total), a node whose count and state count are unchanged is
+  /// skipped without touching its records, and the records of older states
+  /// are rescanned only when some new edge landed on one of them. Without
+  /// it every state is checked for new edges. `sent` (optional) lists per
+  /// node, in arrival order, every distinct message hash the node ever
+  /// sent — including sends of executions whose successor was discarded —
+  /// and is ingested from where the last call stopped.
+  void refresh(const LocalStore& store, const std::vector<std::uint64_t>* edge_counts = nullptr,
+               const std::vector<std::vector<Hash64>>* sent = nullptr);
+
+  std::uint32_t num_nodes() const { return static_cast<std::uint32_t>(nodes_.size()); }
+  std::uint32_t num_msgs() const { return static_cast<std::uint32_t>(msg_hash_.size()); }
+  const NodeGraph& node(NodeId n) const { return nodes_[n]; }
+  const std::vector<Epoch>& epochs() const { return epochs_; }
+  Hash64 msg_hash(std::uint32_t id) const { return msg_hash_[id]; }
+  /// Bitset: messages in flight in some epoch (the union seed of pruning).
+  const std::vector<std::uint64_t>& in_flight_any() const { return in_flight_any_; }
+  /// Every epoch's in-flight hashes, concatenated (the sequence API's seed).
+  const std::vector<Hash64>& in_flight_hashes() const { return in_flight_hashes_; }
+
+ private:
+  /// How far refresh() has read a node's records and send log.
+  struct Cursor {
+    std::vector<std::uint32_t> seen_preds;  ///< per state: pred edges ingested
+    std::vector<std::uint32_t> seen_loops;  ///< per state: self-loops ingested
+    std::uint64_t edge_count = 0;           ///< caller's edge count at the last refresh
+    std::size_t sent_seen = 0;              ///< entries of the caller's send log ingested
+  };
+
+  std::uint32_t intern(Hash64 h);
+  void ingest(NodeGraph& g, std::uint32_t s, const Pred& p, bool self_loop);
+  static void rebuild_csr(NodeGraph& g, std::uint32_t n_states);
+
+  std::vector<NodeGraph> nodes_;
+  std::vector<Cursor> cursors_;
+  std::vector<Epoch> epochs_;
+  std::unordered_map<Hash64, std::uint32_t> msg_id_;
+  std::vector<Hash64> msg_hash_;
+  std::vector<std::uint64_t> in_flight_any_;
+  std::vector<Hash64> in_flight_hashes_;
 };
 
 /// Thread-safety: a verifier is immutable after construction — verify(),
-/// target_feasible() and enumerate_sequences() are const, touch only the
-/// (frozen during a verification phase) LocalStore plus per-call locals, and
-/// may run concurrently on one instance or on independent instances. The
-/// parallel verification phase of LocalModelChecker builds one verifier per
-/// job (the instances are cheap: they borrow the store and copy the seeds).
+/// target_feasible() and enumerate_sequences() are const, read only the
+/// LocalStore and the SoundnessIndex (both frozen during a verification
+/// phase) plus per-call locals, and may run concurrently on one instance or
+/// on independent instances. The checker keeps ONE index, refreshes it on
+/// its merging thread before each verification fan-out, and builds one
+/// borrowing verifier per job (construction copies only the options).
 class SoundnessVerifier {
  public:
   /// One event of a candidate per-node sequence, oldest first.
@@ -98,17 +197,18 @@ class SoundnessVerifier {
     std::size_t size() const { return evs.size(); }
   };
 
-  /// Single-epoch (offline) verifier: every node starts at state 0, the
-  /// snapshot's in-flight messages are available without generation.
+  /// Single-epoch (offline) verifier over its own index: every node starts
+  /// at state 0, the snapshot's in-flight messages are available without
+  /// generation, and a node is known to send exactly what its edges
+  /// generate.
   SoundnessVerifier(const LocalStore& store, std::vector<Hash64> initial_in_flight,
                     SoundnessOptions opt);
 
-  /// Multi-epoch (warm-started online) verifier: each epoch contributes one
-  /// consistent (roots, in-flight) start; verify() tries epochs newest
-  /// first and reports the one that admitted a schedule. (A factory rather
-  /// than an overload: `{}` would be ambiguous against the offline ctor.)
-  static SoundnessVerifier with_epochs(const LocalStore& store, std::vector<EpochSeed> epochs,
-                                       SoundnessOptions opt);
+  /// Verifier over a caller-maintained index, which must be refreshed
+  /// against `store` and outlive the verifier. Multi-epoch (warm-started
+  /// online) checking registers one seed per snapshot: verify() tries
+  /// epochs newest first and reports the one that admitted a schedule.
+  SoundnessVerifier(const SoundnessIndex& index, const LocalStore& store, SoundnessOptions opt);
 
   /// Verify the system state formed by `combo` (one state index per node).
   /// When `fixed` is non-null, only nodes with fixed[n] == true must reach
@@ -121,13 +221,12 @@ class SoundnessVerifier {
                          const std::vector<bool>* fixed = nullptr) const;
 
   /// Cheap necessary condition for any combination containing (n, target):
-  /// can the target still be reached when every message any OTHER node ever
-  /// generated (`other_avail`, plus the snapshot's in-flight set) is assumed
+  /// can the target still be reached when every message any OTHER node is
+  /// known to send (plus every snapshot's in-flight set) is assumed
   /// available? If not, every combination with this member is unsound and
   /// the full search can be skipped. The caller caches results — they only
-  /// change when other_avail grows.
-  bool target_feasible(NodeId n, std::uint32_t target,
-                       const std::unordered_set<Hash64>& other_avail) const;
+  /// change when the index grows.
+  bool target_feasible(NodeId n, std::uint32_t target) const;
 
   /// All predecessor-closed event sequences reaching (n, idx), capped.
   /// Exposed for tests and for the replay validator.
@@ -139,11 +238,8 @@ class SoundnessVerifier {
 
  private:
   const LocalStore& store_;
-  /// Union of every epoch's in-flight hashes — seeds the sequence API and
-  /// the (conservative) edge-availability pruning; the joint search itself
-  /// is seeded per epoch.
-  std::vector<Hash64> initial_in_flight_;
-  std::vector<EpochSeed> epochs_;
+  std::unique_ptr<SoundnessIndex> owned_;  ///< standalone verifiers only
+  const SoundnessIndex* index_;
   SoundnessOptions opt_;
 };
 
