@@ -166,8 +166,8 @@ class SegLog {
     committed_.store(0, std::memory_order_relaxed);
   }
 
-  // Copies the committed prefix. Only meaningful on quiesced logs (the
-  // checker copies stores in merge_snapshot and tests, never mid-round).
+  // Copies the committed prefix. Only meaningful on quiesced logs (checkpoint
+  // images and tests copy stores, never mid-round).
   void copy_from(const SegLog& o) {
     std::uint64_t n = o.size();
     for (std::uint64_t i = 0; i < n; ++i) push_back(o[i]);

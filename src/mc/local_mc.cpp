@@ -103,7 +103,8 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   store_ = LocalStore(cfg_.num_nodes);
   net_ = MonotonicNetwork{};
   events_.clear();
-  epochs_.clear();
+  snapshot_ = CheckerSnapshot{nodes, in_flight};
+  in_flight_hashes_.clear();
   internal_scan_.assign(cfg_.num_nodes, 0);
   reset_projections();
   node_gens_.assign(cfg_.num_nodes, {});
@@ -124,9 +125,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   segment_id_ = 0;
   pipeline_dropped_ = 0;
 
-  CheckerEpoch ep;
-  ep.nodes = nodes;
-  ep.msgs = in_flight;
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     NodeStateRec rec;
     rec.blob = nodes[n];
@@ -135,7 +133,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     rec.depth = 0;
     const Hash64 root_hash = rec.hash;
     const std::uint32_t root_idx = store_.add(n, std::move(rec));
-    ep.roots.push_back(root_idx);
     ++stats_.node_states;
     LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                      root_idx, root_hash, 0, 0.0, n)));
@@ -145,7 +142,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   // verification without any generating event.
   for (const Message& m : in_flight) {
     Hash64 h = m.hash();
-    ep.in_flight.push_back(h);
+    in_flight_hashes_.push_back(h);
     if (net_.add(m)) {
       EventRecord er;
       er.is_message = true;
@@ -155,10 +152,8 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
                                        h, net_.size(), 0, 0.0, m.dst)));
     }
   }
-  epochs_.push_back(std::move(ep));
   resolve_symmetry();
   resolve_por();
-  initialized_ = true;
 }
 
 // Decide whether the symmetry reduction is active for this run and build
@@ -197,8 +192,8 @@ void LocalModelChecker::resolve_symmetry() {
   canon_ = std::make_unique<symmetry::Canonicalizer>(std::move(kept), cfg_.num_nodes);
   sym_stats_.active = 1;
   sym_stats_.classes = static_cast<std::uint32_t>(canon_->classes().size());
-  // Seed the universes from whatever the store already holds: the epoch
-  // roots on a fresh run, the full store on checkpoint load.
+  // Seed the universes from whatever the store already holds: the snapshot
+  // states on a fresh run, the full store on checkpoint load.
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     const std::uint32_t cnt = store_.size(n);
     for (std::uint32_t i = 0; i < cnt; ++i) {
@@ -246,113 +241,10 @@ void LocalModelChecker::resolve_por() {
                                    res.unclassifiable)));
 }
 
-// Warm start: fold a new live snapshot into the existing stores. Snapshot
-// states already in LS_n contribute nothing new (the common case when the
-// live system idles); fresh ones become depth-0 roots with no predecessors
-// and empty history — exactly how init_run seeds epoch 0. In-flight
-// messages pass through I+'s duplicate suppression, so a message observed
-// in-flight over several periods is executed against each destination state
-// ONCE across all periods. This, plus the surviving per-message cursors, is
-// where warm runs beat cold re-derivation on transitions.
-void LocalModelChecker::merge_snapshot(const std::vector<Blob>& nodes,
-                                       const std::vector<Message>& in_flight) {
-  ++stats_.warm_merges;
-  const std::uint64_t pre_root_hits = stats_.warm_root_hits;
-  const std::uint64_t pre_msgs_reused = stats_.warm_msgs_reused;
-  CheckerEpoch ep;
-  ep.nodes = nodes;
-  ep.msgs = in_flight;
-  std::vector<std::pair<NodeId, std::uint32_t>> fresh;
-  for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
-    const Hash64 h = hash_blob(nodes[n]);
-    LMC_PROF(opt_.profile, count(obs::Counter::kBytesHashed, nodes[n].size()));
-    std::uint32_t idx = store_.find(n, h);
-    if (idx == UINT32_MAX) {
-      NodeStateRec rec;
-      rec.blob = nodes[n];
-      rec.hash = h;
-      rec.depth = 0;
-      idx = store_.add(n, std::move(rec));
-      if (canon_ != nullptr) {
-        canon_->add_state(n, h);
-        LMC_PROF(opt_.profile, count(obs::Counter::kStatesCanonicalized));
-      }
-      ++stats_.node_states;
-      ++stats_.warm_new_roots;
-      fresh.emplace_back(n, idx);
-      LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
-                                       idx, h, 0, 0.0, n)));
-      register_projection(n, idx);
-    } else {
-      ++stats_.warm_root_hits;
-    }
-    ep.roots.push_back(idx);
-  }
-  for (const Message& m : in_flight) {
-    Hash64 h = m.hash();
-    ep.in_flight.push_back(h);
-    if (net_.add(m)) {
-      EventRecord er;
-      er.is_message = true;
-      er.msg = m;
-      events_.emplace(h, std::move(er));
-      LMC_TRACE(opt_.trace, record(tev(EventType::kIplusAppend, obs::Phase::kExplore, cur_round_,
-                                       h, net_.size(), 0, 0.0, m.dst)));
-    } else {
-      ++stats_.warm_msgs_reused;
-    }
-  }
-  epochs_.push_back(std::move(ep));
-  LMC_TRACE(opt_.trace, record(tev(EventType::kWarmMerge, obs::Phase::kRun, cur_round_,
-                                   fresh.size(), stats_.warm_root_hits - pre_root_hits,
-                                   stats_.warm_msgs_reused - pre_msgs_reused)));
-
-  // Fresh roots are new node states: check their combinations like any
-  // other (after the epoch is registered — soundness must see its seed).
-  if (opt_.enable_system_states && invariant_ != nullptr) {
-    for (const auto& [n, idx] : fresh) {
-      if (stop_) break;
-      const double t0 = now_s();
-      const std::uint64_t pre_ss = stats_.system_states;
-      const std::uint64_t pre_pv = stats_.prelim_violations;
-      check_combinations(n, idx);
-      const double dt = now_s() - t0;
-      stats_.system_state_s += dt;
-      LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
-      LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
-                                       /*site=*/1, stats_.system_states - pre_ss,
-                                       stats_.prelim_violations - pre_pv, dt, n)));
-    }
-  }
-}
-
 const SoundnessIndex& LocalModelChecker::soundness_index() {
-  if (!sidx_) sidx_ = std::make_unique<SoundnessIndex>(cfg_.num_nodes);
-  for (std::size_t e = sidx_->epochs().size(); e < epochs_.size(); ++e)
-    sidx_->add_epoch(epochs_[e].roots, epochs_[e].in_flight);
+  if (!sidx_) sidx_ = std::make_unique<SoundnessIndex>(cfg_.num_nodes, in_flight_hashes_);
   sidx_->refresh(store_, &pred_edges_, &sent_log_);
   return *sidx_;
-}
-
-std::size_t LocalModelChecker::total_in_flight() const {
-  std::size_t n = 0;
-  for (const CheckerEpoch& e : epochs_) n += e.in_flight.size();
-  return n;
-}
-
-const std::vector<Hash64>& LocalModelChecker::initial_in_flight_hashes() const {
-  static const std::vector<Hash64> empty;
-  return epochs_.empty() ? empty : epochs_.front().in_flight;
-}
-
-const std::vector<Blob>& LocalModelChecker::initial_nodes() const {
-  static const std::vector<Blob> empty;
-  return epochs_.empty() ? empty : epochs_.front().nodes;
-}
-
-const std::vector<Message>& LocalModelChecker::initial_in_flight() const {
-  static const std::vector<Message> empty;
-  return epochs_.empty() ? empty : epochs_.front().msgs;
 }
 
 // One cursor-scan generation (Fig. 9): publish, in deterministic scan
@@ -893,7 +785,7 @@ bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
   // parallel verification phase the inputs are frozen, so concurrent
   // callers of the same key race only on who computes the identical
   // verdict; the striped locks protect the map, not the answer.
-  std::uint64_t sig = total_in_flight();
+  std::uint64_t sig = in_flight_hashes_.size();
   for (NodeId m = 0; m < cfg_.num_nodes; ++m)
     sig += (m == n) ? pred_edges_[n] : node_gens_[m].size();
   const std::uint64_t key = (static_cast<std::uint64_t>(n) << 32) | idx;
@@ -905,7 +797,7 @@ bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
       return it->second.feasible;
   }
 
-  const bool feasible = SoundnessVerifier(*sidx_, store_, opt_.soundness).target_feasible(n, idx);
+  const bool feasible = SoundnessVerifier(*sidx_, opt_.soundness).target_feasible(n, idx);
   {
     std::lock_guard<std::mutex> lk(stripe.mu);
     stripe.map[key] = FeasEntry{feasible, sig};
@@ -979,7 +871,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
             return true;  // next assignment
           }
         const double t0 = now_s();
-        SoundnessResult res = SoundnessVerifier(sidx, store_, opt_.soundness).verify(combo);
+        SoundnessResult res = SoundnessVerifier(sidx, opt_.soundness).verify(combo);
         secs += now_s() - t0;
         ++calls;
         seqs += res.schedules_checked;
@@ -1044,7 +936,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     const bool quick = !phase2 && so.quick_expansions != 0;
     if (quick) so.max_schedules = std::min(so.max_schedules, so.quick_expansions);
     const double t0 = now_s();
-    o.res = SoundnessVerifier(sidx, store_, so).verify(d.combo, d.has_mask ? &d.fixed : nullptr);
+    o.res = SoundnessVerifier(sidx, so).verify(d.combo, d.has_mask ? &d.fixed : nullptr);
     o.secs = now_s() - t0;
     o.kind = o.res.sound ? Kind::Sound
                          : (quick && o.res.truncated ? Kind::Defer : Kind::Unsound);
@@ -1151,7 +1043,6 @@ void LocalModelChecker::record_confirmed(const std::vector<std::uint32_t>& combo
   v.invariant = invariant_->name();
   v.confirmed = true;
   v.witness = std::move(res.schedule);
-  v.epoch = res.epoch;
   for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
     const NodeStateRec& r = store_.rec(i, v.combo[i]);
     v.state_hashes.push_back(r.hash);
@@ -1177,9 +1068,9 @@ void LocalModelChecker::process_deferred() {
                                    n_jobs, 0, 0, dt)));
 }
 
-void LocalModelChecker::check_snapshot_combination(const std::vector<std::uint32_t>& roots) {
+void LocalModelChecker::check_snapshot_combination() {
   if (!opt_.enable_system_states || invariant_ == nullptr) return;
-  std::vector<std::uint32_t> combo = roots;
+  std::vector<std::uint32_t> combo(cfg_.num_nodes, 0);  // every node on LS_n[0]
   const double t0 = now_s();
   const std::uint64_t pre_ss = stats_.system_states;
   const std::uint64_t pre_pv = stats_.prelim_violations;
@@ -1191,7 +1082,7 @@ void LocalModelChecker::check_snapshot_combination(const std::vector<std::uint32
     for (std::size_t c = 0; c < classes.size(); ++c) {
       counts[c].assign(canon_->universe(c).entries().size(), 0);
       for (NodeId m : classes[c])
-        ++counts[c][canon_->universe(c).find(store_.rec(m, roots[m]).hash)];
+        ++counts[c][canon_->universe(c).find(store_.rec(m, 0).hash)];
     }
     SymSweepCtx ctx{opt_.max_system_states_per_step, false};
     sym_consider(combo, counts, ctx);
@@ -1758,29 +1649,11 @@ void LocalModelChecker::run(const std::vector<Blob>& nodes,
                                    opt_.num_threads, 0.0, TraceEvent::kNoNode, segment_id_)));
   init_run(nodes, in_flight);
   metrics_sample("begin", 0, /*force=*/true);
-  check_snapshot_combination(epochs_.front().roots);
+  check_snapshot_combination();
   explore_stream();
 }
 
 void LocalModelChecker::run_from_initial() { run(initial_states(cfg_), {}); }
-
-void LocalModelChecker::run_warm(const std::vector<Blob>& nodes,
-                                 const std::vector<Message>& in_flight) {
-  if (!initialized_) {
-    run(nodes, in_flight);
-    return;
-  }
-  run_t0_ = now_s();
-  deadline_ = run_t0_ + opt_.time_budget_s;  // time budget is per call
-  base_elapsed_s_ = stats_.elapsed_s;        // wall clock accumulates
-  stop_ = false;
-  LMC_TRACE(opt_.trace, record(tev(EventType::kRunBegin, obs::Phase::kRun, cur_round_,
-                                   /*mode=*/1, stats_.transitions, opt_.num_threads, 0.0,
-                                   TraceEvent::kNoNode, segment_id_)));
-  merge_snapshot(nodes, in_flight);
-  check_snapshot_combination(epochs_.back().roots);
-  explore_stream();
-}
 
 void LocalModelChecker::run_resumed(const std::string& path) {
   load_checkpoint(path);
@@ -1809,7 +1682,7 @@ CheckerImage LocalModelChecker::make_image() const {
   img.segment_id = segment_id_;
   img.base_round = cur_round_;
   img.events = events_;
-  img.epochs = epochs_;
+  img.snapshot = snapshot_;
   img.node_gens.resize(cfg_.num_nodes);
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     img.node_gens[n].assign(node_gens_[n].begin(), node_gens_[n].end());
@@ -1882,7 +1755,9 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   store_ = std::move(img.store);
   net_ = MonotonicNetwork::restore(std::move(img.net_entries), img.net_suppressed);
   events_ = std::move(img.events);
-  epochs_ = std::move(img.epochs);
+  snapshot_ = std::move(img.snapshot);
+  in_flight_hashes_.clear();
+  for (const Message& m : snapshot_.msgs) in_flight_hashes_.push_back(m.hash());
   internal_scan_ = std::move(img.internal_scan);
   node_gens_.assign(cfg_.num_nodes, {});
   sent_log_.assign(cfg_.num_nodes, {});
@@ -1978,7 +1853,6 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   cur_round_ = img.base_round;
   segment_id_ = img.segment_id;
   stop_ = false;
-  initialized_ = true;
   base_elapsed_s_ = stats_.elapsed_s;
 }
 

@@ -4,8 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace lmc {
@@ -29,17 +27,13 @@ std::uint32_t SoundnessIndex::intern(Hash64 h) {
   return it->second;
 }
 
-void SoundnessIndex::add_epoch(const std::vector<std::uint32_t>& roots,
-                               const std::vector<Hash64>& in_flight) {
-  Epoch e;
-  e.roots = roots;
+SoundnessIndex::SoundnessIndex(std::uint32_t num_nodes, const std::vector<Hash64>& in_flight)
+    : nodes_(num_nodes), cursors_(num_nodes) {
   for (Hash64 h : in_flight) {
     const std::uint32_t id = intern(h);
-    e.in_flight.push_back(id);
-    set_bit(in_flight_any_, id);
-    in_flight_hashes_.push_back(h);
+    in_flight_.push_back(id);
+    set_bit(in_flight_set_, id);
   }
-  epochs_.push_back(std::move(e));
 }
 
 void SoundnessIndex::ingest(NodeGraph& g, std::uint32_t s, const Pred& p, bool self_loop) {
@@ -121,172 +115,16 @@ void SoundnessIndex::refresh(const LocalStore& store, const std::vector<std::uin
 }
 
 SoundnessVerifier::SoundnessVerifier(const LocalStore& store,
-                                     std::vector<Hash64> initial_in_flight, SoundnessOptions opt)
-    : store_(store),
-      owned_(std::make_unique<SoundnessIndex>(store.num_nodes())),
+                                     const std::vector<Hash64>& initial_in_flight,
+                                     SoundnessOptions opt)
+    : owned_(std::make_unique<SoundnessIndex>(store.num_nodes(), initial_in_flight)),
       index_(owned_.get()),
       opt_(opt) {
-  // Offline runs have exactly one epoch: every node starts at LS_n[0] (the
-  // snapshot state is always the first state added) with the snapshot's
-  // in-flight messages available.
-  owned_->add_epoch(std::vector<std::uint32_t>(store.num_nodes(), 0), initial_in_flight);
   owned_->refresh(store);
 }
 
-SoundnessVerifier::SoundnessVerifier(const SoundnessIndex& index, const LocalStore& store,
-                                     SoundnessOptions opt)
-    : store_(store), index_(&index), opt_(opt) {}
-
-std::vector<SoundnessVerifier::NodeSeq> SoundnessVerifier::enumerate_sequences(
-    NodeId n, std::uint32_t idx, bool* truncated) const {
-  std::vector<NodeSeq> out;
-  // Backward DFS over predecessor pointers. `path` holds the events from
-  // the target back towards the root; a completed path (a state with no
-  // predecessors, i.e. the live/initial state) is reversed into a sequence.
-  std::vector<SeqEv> path;
-  std::vector<std::uint32_t> on_path;  // state indices, for cycle pruning
-
-  struct Frame {
-    std::uint32_t idx;
-    std::size_t next_pred;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({idx, 0});
-  on_path.push_back(idx);
-
-  while (!stack.empty()) {
-    if (out.size() >= opt_.max_sequences_per_node) {
-      if (truncated != nullptr) *truncated = true;
-      break;
-    }
-    Frame& f = stack.back();
-    const NodeStateRec& rec = store_.rec(n, f.idx);
-
-    if (rec.preds.empty()) {
-      // Root reached: emit the path, oldest event first.
-      NodeSeq seq;
-      seq.root = f.idx;
-      seq.evs.assign(path.rbegin(), path.rend());
-      out.push_back(std::move(seq));
-      stack.pop_back();
-      on_path.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-
-    if (f.next_pred >= rec.preds.size()) {
-      stack.pop_back();
-      on_path.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-
-    const Pred& p = rec.preds[f.next_pred++];
-    // Prune edges that revisit a state already on this path (covers the
-    // paper's self-references and longer cycles); also cap path length.
-    bool cyclic = false;
-    for (std::uint32_t s : on_path)
-      if (s == p.pred_idx) {
-        cyclic = true;
-        break;
-      }
-    if (cyclic || path.size() >= opt_.max_seq_len) {
-      if (path.size() >= opt_.max_seq_len && truncated != nullptr) *truncated = true;
-      continue;
-    }
-
-    // The edge leads *to* the current frame's state.
-    path.push_back(SeqEv{p.is_message, p.ev_hash, &p.gen, f.idx});
-    stack.push_back({p.pred_idx, 0});
-    on_path.push_back(p.pred_idx);
-  }
-
-  return out;
-}
-
-bool SoundnessVerifier::is_sequence_valid(const std::vector<const NodeSeq*>& seqs,
-                                          Schedule* schedule) const {
-  // Multiset of available message hashes; seeded with the snapshot's
-  // in-flight messages (they exist without any event generating them).
-  std::unordered_map<Hash64, std::uint32_t> net;
-  for (Hash64 h : index_->in_flight_hashes()) ++net[h];
-
-  const std::size_t n_nodes = seqs.size();
-  std::vector<std::size_t> ptr(n_nodes, 0);
-  const std::size_t scheduled_at_entry = schedule != nullptr ? schedule->size() : 0;
-  // Self-loops already fired, keyed by (node, state, ordinal).
-  std::unordered_set<std::uint64_t> fired;
-
-  auto state_at = [&](std::size_t n) -> std::uint32_t {
-    const NodeSeq& s = *seqs[n];
-    return ptr[n] == 0 ? s.root : s.evs[ptr[n] - 1].state_after;
-  };
-
-  bool done = false;
-  while (!done) {
-    // Phase 1: greedily advance the per-node sequences (Fig. 9's
-    // isSequenceValid). Feasibility is confluent, so any enabled-first
-    // order works.
-    bool advanced = true;
-    while (advanced) {
-      advanced = false;
-      for (std::size_t n = 0; n < n_nodes; ++n) {
-        while (ptr[n] < seqs[n]->size()) {
-          const SeqEv& ev = seqs[n]->evs[ptr[n]];
-          if (ev.is_message) {
-            auto it = net.find(ev.ev_hash);
-            if (it == net.end() || it->second == 0) break;  // not yet generated
-            --it->second;
-          }
-          for (Hash64 g : *ev.gen) ++net[g];
-          if (schedule != nullptr)
-            schedule->push_back({static_cast<NodeId>(n), ev.is_message, ev.ev_hash});
-          ++ptr[n];
-          advanced = true;
-        }
-      }
-    }
-
-    done = true;
-    for (std::size_t n = 0; n < n_nodes; ++n)
-      if (ptr[n] != seqs[n]->size()) done = false;
-    if (done) break;
-
-    // Phase 2 (extension over the paper; see NodeStateRec::self_loops):
-    // stuck — try firing one recorded no-op transition of some node's
-    // current state to generate the missing messages.
-    bool fired_one = false;
-    for (std::size_t n = 0; n < n_nodes && !fired_one; ++n) {
-      const std::uint32_t st = state_at(n);
-      const NodeStateRec& rec = store_.rec(static_cast<NodeId>(n), st);
-      for (std::size_t k = 0; k < rec.self_loops.size(); ++k) {
-        const Pred& sl = rec.self_loops[k];
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(n) << 40) ^ (static_cast<std::uint64_t>(st) << 8) ^ k;
-        if (fired.count(key)) continue;
-        if (sl.is_message) {
-          auto it = net.find(sl.ev_hash);
-          if (it == net.end() || it->second == 0) continue;
-          --it->second;
-        }
-        for (Hash64 g : sl.gen) ++net[g];
-        if (schedule != nullptr)
-          schedule->push_back({static_cast<NodeId>(n), sl.is_message, sl.ev_hash});
-        fired.insert(key);
-        fired_one = true;
-        break;
-      }
-    }
-    if (!fired_one) break;  // truly stuck
-  }
-
-  for (std::size_t n = 0; n < n_nodes; ++n)
-    if (ptr[n] != seqs[n]->size()) {
-      if (schedule != nullptr) schedule->resize(scheduled_at_entry);
-      return false;
-    }
-  return true;
-}
+SoundnessVerifier::SoundnessVerifier(const SoundnessIndex& index, SoundnessOptions opt)
+    : index_(&index), opt_(opt) {}
 
 namespace {
 
@@ -516,9 +354,9 @@ class HashSet {
 class ScheduleSearch {
  public:
   ScheduleSearch(const std::vector<NodeWork>& work, const SoundnessIndex& index,
-              const std::vector<std::uint32_t>& in_flight, std::uint64_t max_expansions)
+                 std::uint64_t max_expansions)
       : work_(work), index_(index), max_expansions_(max_expansions), net_(index.num_msgs(), 0) {
-    for (std::uint32_t m : in_flight) add(m);
+    for (std::uint32_t m : index.in_flight()) add(m);
   }
 
   /// Depth-first, in the order of a recursion over (node, forward edge);
@@ -658,9 +496,7 @@ class ScheduleSearch {
 }  // namespace
 
 bool SoundnessVerifier::target_feasible(NodeId n, std::uint32_t target) const {
-  const std::vector<SoundnessIndex::Epoch>& epochs = index_->epochs();
-  for (const SoundnessIndex::Epoch& e : epochs)
-    if (e.roots[n] == target) return true;  // target IS a snapshot state
+  if (target == 0) return true;  // target IS the snapshot state
   const NodeGraph& g = index_->node(n);
   require_indexed(g, target);
   std::vector<NodeWork> one(1);
@@ -672,7 +508,7 @@ bool SoundnessVerifier::target_feasible(NodeId n, std::uint32_t target) const {
   // Prune under maximal help: everything other nodes are known to send is
   // assumed available, plus what this closure's own surviving edges make.
   std::vector<std::uint64_t> other;
-  reset_bits(other, index_->in_flight_any(), index_->num_msgs());
+  reset_bits(other, index_->in_flight_set(), index_->num_msgs());
   for (NodeId m = 0; m < index_->num_nodes(); ++m) {
     if (m == n) continue;
     const std::vector<std::uint64_t>& sends = index_->node(m).sends;
@@ -683,14 +519,10 @@ bool SoundnessVerifier::target_feasible(NodeId n, std::uint32_t target) const {
     avail = other;
     add_generated(w, avail);
   } while (drop_unavailable(w, avail));
-  // Target still reachable from some epoch's root over surviving edges?
+  // Target still reachable from the snapshot state over surviving edges?
   std::vector<std::uint8_t> reached(g.num_states(), 0);
-  std::vector<std::uint32_t> work;
-  for (const SoundnessIndex::Epoch& e : epochs)
-    if (!reached[e.roots[n]]) {
-      reached[e.roots[n]] = 1;
-      work.push_back(e.roots[n]);
-    }
+  std::vector<std::uint32_t> work{0};
+  reached[0] = 1;
   while (!work.empty()) {
     const std::uint32_t s = work.back();
     work.pop_back();
@@ -728,14 +560,15 @@ SoundnessResult SoundnessVerifier::verify(const std::vector<std::uint32_t>& comb
   for (NodeWork& w : work)
     if (w.fixed) close_over(w);
 
-  // Prune to a fixpoint against the union of every epoch's in-flight set —
-  // a conservative superset, so no feasible edge is ever dropped; the joint
-  // search below enforces the per-epoch availability exactly.
+  // Prune to a fixpoint against the in-flight set plus everything alive
+  // edges generate — a superset of what any run has available, so no
+  // feasible edge is dropped; the joint search below enforces availability
+  // exactly.
   std::vector<std::uint64_t> avail;
   bool changed = true;
   while (changed) {
     changed = false;
-    reset_bits(avail, index_->in_flight_any(), index_->num_msgs());
+    reset_bits(avail, index_->in_flight_set(), index_->num_msgs());
     for (const NodeWork& w : work) add_generated(w, avail);
     for (NodeWork& w : work) {
       if (drop_unavailable(w, avail)) changed = true;
@@ -745,34 +578,23 @@ SoundnessResult SoundnessVerifier::verify(const std::vector<std::uint32_t>& comb
   for (const NodeWork& w : work)
     res.sequences_enumerated += w.fixed ? w.reaching : w.g->num_states();
 
-  // Try each epoch newest first: later snapshots are closer to the violating
-  // states, so their searches are shorter; the expansion budget is shared.
-  const std::vector<SoundnessIndex::Epoch>& epochs = index_->epochs();
-  for (std::size_t e = epochs.size(); e-- > 0;) {
-    const SoundnessIndex::Epoch& seed = epochs[e];
-    bool candidate = true;
-    for (NodeId n = 0; n < n_nodes && candidate; ++n)
-      // A fixed node's marked states are exactly those that still reach the
-      // target; a root outside them provably cannot.
-      if (work[n].fixed && work[n].mark[seed.roots[n]] != 2) candidate = false;
-    if (!candidate) continue;
-
-    if (res.schedules_checked >= opt_.max_schedules) {
-      res.truncated = true;
-      break;
-    }
-    ScheduleSearch search(work, *index_, seed.in_flight, opt_.max_schedules - res.schedules_checked);
-    Schedule sched;
-    const bool found = search.run(seed.roots, &sched);
-    res.schedules_checked += search.expansions();
-    res.truncated = res.truncated || search.truncated();
-    if (found) {
-      res.sound = true;
-      res.schedule = std::move(sched);
-      res.final_combo = search.positions();
-      res.epoch = e;
-      return res;
-    }
+  // Every node starts on its snapshot state, LS_n[0]. A fixed node's
+  // marked states are exactly those that still reach the target; a root
+  // outside them provably cannot.
+  for (NodeId n = 0; n < n_nodes; ++n)
+    if (work[n].fixed && work[n].mark[0] != 2) return res;
+  if (opt_.max_schedules == 0) {
+    res.truncated = true;
+    return res;
+  }
+  ScheduleSearch search(work, *index_, opt_.max_schedules);
+  Schedule sched;
+  res.sound = search.run(std::vector<std::uint32_t>(n_nodes, 0), &sched);
+  res.schedules_checked = search.expansions();
+  res.truncated = search.truncated();
+  if (res.sound) {
+    res.schedule = std::move(sched);
+    res.final_combo = search.positions();
   }
   return res;
 }

@@ -32,10 +32,6 @@
 // marks, alive flags, an availability bitset, a message count vector) —
 // the "build each component once, reuse it in every composition" of
 // partial model checking.
-//
-// The sequence-based primitives of the paper (enumerate_sequences,
-// is_sequence_valid) are kept as a public API: they are the direct
-// transcription of Fig. 9 and remain useful for small graphs and tests.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +44,7 @@
 namespace lmc {
 
 struct SoundnessOptions {
-  std::uint64_t max_sequences_per_node = 256;  ///< enumeration cap (sequence API)
-  std::uint64_t max_schedules = 1u << 20;      ///< joint-search expansion cap per verify()
-  std::uint32_t max_seq_len = 1u << 12;        ///< per-sequence length cap (sequence API)
+  std::uint64_t max_schedules = 1u << 20;  ///< joint-search expansion cap per verify()
   /// Two-phase verification (checker-side): a preliminary violation is
   /// first verified with this expansion cap. Sound combinations confirm
   /// almost immediately (tens of expansions); refuting an unsound one can
@@ -68,9 +62,6 @@ struct SoundnessResult {
   /// Final state index per node. Fixed nodes sit on their targets; free
   /// nodes wherever the feasible run left them (a co-reachable completion).
   std::vector<std::uint32_t> final_combo;
-  /// Epoch whose snapshot the schedule starts from (warm-started online
-  /// checking verifies against each merged snapshot, newest first).
-  std::size_t epoch = 0;
   std::uint64_t sequences_enumerated = 0;  ///< relevant subgraph states visited
   std::uint64_t schedules_checked = 0;     ///< joint-search expansions
   bool truncated = false;               ///< some cap was hit (result may be incomplete)
@@ -84,8 +75,8 @@ struct SoundnessResult {
 /// the closure BFS), a consumer CSR (message edges by consumed message),
 /// per-message generation counts, and a bitset of the messages the node is
 /// known to send. Message hashes are interned to dense u32 ids shared by all nodes.
-/// The index also carries the epoch seeds (per-node roots plus in-flight
-/// messages) that schedules start from.
+/// The index also carries the snapshot's in-flight messages, the seed every
+/// schedule starts from; every node starts on its snapshot state, LS_n[0].
 ///
 /// The index is append-only, like the store: refresh() ingests only the
 /// states and edges added since the last call. It is not thread-safe to
@@ -122,15 +113,9 @@ class SoundnessIndex {
     }
   };
 
-  struct Epoch {
-    std::vector<std::uint32_t> roots;      ///< per node: index into LS_n
-    std::vector<std::uint32_t> in_flight;  ///< message ids (with multiplicity)
-  };
-
-  explicit SoundnessIndex(std::uint32_t num_nodes) : nodes_(num_nodes), cursors_(num_nodes) {}
-
-  /// Register one more snapshot seed (offline runs have exactly one).
-  void add_epoch(const std::vector<std::uint32_t>& roots, const std::vector<Hash64>& in_flight);
+  /// An empty index over `num_nodes` nodes whose snapshot has the in-flight
+  /// messages `in_flight` (with multiplicity).
+  SoundnessIndex(std::uint32_t num_nodes, const std::vector<Hash64>& in_flight);
 
   /// Catch up with `store`. With `edge_counts` (node n's pred + self-loop
   /// edge total), a node whose count and state count are unchanged is
@@ -146,12 +131,11 @@ class SoundnessIndex {
   std::uint32_t num_nodes() const { return static_cast<std::uint32_t>(nodes_.size()); }
   std::uint32_t num_msgs() const { return static_cast<std::uint32_t>(msg_hash_.size()); }
   const NodeGraph& node(NodeId n) const { return nodes_[n]; }
-  const std::vector<Epoch>& epochs() const { return epochs_; }
   Hash64 msg_hash(std::uint32_t id) const { return msg_hash_[id]; }
-  /// Bitset: messages in flight in some epoch (the union seed of pruning).
-  const std::vector<std::uint64_t>& in_flight_any() const { return in_flight_any_; }
-  /// Every epoch's in-flight hashes, concatenated (the sequence API's seed).
-  const std::vector<Hash64>& in_flight_hashes() const { return in_flight_hashes_; }
+  /// The snapshot's in-flight message ids (with multiplicity).
+  const std::vector<std::uint32_t>& in_flight() const { return in_flight_; }
+  /// Bitset over message ids: the snapshot's in-flight set (the seed of pruning).
+  const std::vector<std::uint64_t>& in_flight_set() const { return in_flight_set_; }
 
  private:
   /// How far refresh() has read a node's records and send log.
@@ -168,47 +152,29 @@ class SoundnessIndex {
 
   std::vector<NodeGraph> nodes_;
   std::vector<Cursor> cursors_;
-  std::vector<Epoch> epochs_;
   std::unordered_map<Hash64, std::uint32_t> msg_id_;
   std::vector<Hash64> msg_hash_;
-  std::vector<std::uint64_t> in_flight_any_;
-  std::vector<Hash64> in_flight_hashes_;
+  std::vector<std::uint32_t> in_flight_;
+  std::vector<std::uint64_t> in_flight_set_;
 };
 
-/// Thread-safety: a verifier is immutable after construction — verify(),
-/// target_feasible() and enumerate_sequences() are const, read only the
-/// LocalStore and the SoundnessIndex (both frozen during a verification
-/// phase) plus per-call locals, and may run concurrently on one instance or
-/// on independent instances. The checker keeps ONE index, refreshes it on
+/// Thread-safety: a verifier is immutable after construction — verify()
+/// and target_feasible() are const, read only the SoundnessIndex (frozen
+/// during a verification phase) plus per-call locals, and may run
+/// concurrently on one instance or on independent instances. The checker keeps ONE index, refreshes it on
 /// its merging thread before each verification fan-out, and builds one
 /// borrowing verifier per job (construction copies only the options).
 class SoundnessVerifier {
  public:
-  /// One event of a candidate per-node sequence, oldest first.
-  struct SeqEv {
-    bool is_message = false;
-    Hash64 ev_hash = 0;
-    const std::vector<Hash64>* gen = nullptr;  ///< messages generated (owned by store)
-    std::uint32_t state_after = 0;             ///< state index reached by this event
-  };
-  struct NodeSeq {
-    std::uint32_t root = 0;       ///< starting state index (the live/initial state)
-    std::vector<SeqEv> evs;
-    std::size_t size() const { return evs.size(); }
-  };
-
-  /// Single-epoch (offline) verifier over its own index: every node starts
-  /// at state 0, the snapshot's in-flight messages are available without
-  /// generation, and a node is known to send exactly what its edges
-  /// generate.
-  SoundnessVerifier(const LocalStore& store, std::vector<Hash64> initial_in_flight,
+  /// Verifier over its own index: every node starts at state 0, the
+  /// snapshot's in-flight messages are available without generation, and a
+  /// node is known to send exactly what its edges generate.
+  SoundnessVerifier(const LocalStore& store, const std::vector<Hash64>& initial_in_flight,
                     SoundnessOptions opt);
 
   /// Verifier over a caller-maintained index, which must be refreshed
-  /// against `store` and outlive the verifier. Multi-epoch (warm-started
-  /// online) checking registers one seed per snapshot: verify() tries
-  /// epochs newest first and reports the one that admitted a schedule.
-  SoundnessVerifier(const SoundnessIndex& index, const LocalStore& store, SoundnessOptions opt);
+  /// against the store and outlive the verifier.
+  SoundnessVerifier(const SoundnessIndex& index, SoundnessOptions opt);
 
   /// Verify the system state formed by `combo` (one state index per node).
   /// When `fixed` is non-null, only nodes with fixed[n] == true must reach
@@ -222,22 +188,13 @@ class SoundnessVerifier {
 
   /// Cheap necessary condition for any combination containing (n, target):
   /// can the target still be reached when every message any OTHER node is
-  /// known to send (plus every snapshot's in-flight set) is assumed
+  /// known to send (plus the snapshot's in-flight set) is assumed
   /// available? If not, every combination with this member is unsound and
   /// the full search can be skipped. The caller caches results — they only
   /// change when the index grows.
   bool target_feasible(NodeId n, std::uint32_t target) const;
 
-  /// All predecessor-closed event sequences reaching (n, idx), capped.
-  /// Exposed for tests and for the replay validator.
-  std::vector<NodeSeq> enumerate_sequences(NodeId n, std::uint32_t idx, bool* truncated) const;
-
-  /// Greedy feasibility check of one sequence combination. On success the
-  /// discovered total order is appended to *schedule (if non-null).
-  bool is_sequence_valid(const std::vector<const NodeSeq*>& seqs, Schedule* schedule) const;
-
  private:
-  const LocalStore& store_;
   std::unique_ptr<SoundnessIndex> owned_;  ///< standalone verifiers only
   const SoundnessIndex* index_;
   SoundnessOptions opt_;

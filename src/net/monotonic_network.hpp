@@ -36,20 +36,6 @@ class MonotonicNetwork {
   /// with identical content was already added at any point in the search.
   bool add(Message m);
 
-  /// Outcome of a batch merge (warm-start bookkeeping).
-  struct MergeStats {
-    std::size_t appended = 0;
-    std::size_t suppressed = 0;  ///< duplicates of already-present content
-  };
-
-  /// Append a batch through the same duplicate-hash suppression path as
-  /// add(). Online warm start merges each new snapshot's in-flight messages
-  /// with this, so insertion logic lives in exactly one place.
-  MergeStats merge(const std::vector<Message>& msgs);
-
-  /// Append a batch; returns the number of suppressed duplicates.
-  std::size_t add_all(const std::vector<Message>& msgs);
-
   /// Rebuild a network from checkpointed entries: the hash index is
   /// reconstructed, per-message cursors are taken from the entries.
   static MonotonicNetwork restore(std::vector<Entry> entries, std::uint64_t suppressed);

@@ -156,8 +156,8 @@ TEST(CrystalBall, WarmStartFindsWidsBugWithFewerTransitions) {
       << "warm start must redo strictly less work than cold restarts";
   EXPECT_GT(warm_res.total_cache_hits, 0u) << "the savings come from cache replays";
 
-  // The witness anchors at the epoch soundness verified; replay it from
-  // that period's snapshot through the real handlers.
+  // The witness starts from the snapshot of the period that found the bug;
+  // replay it from there through the real handlers.
   ReplayResult rep =
       replay_schedule(mc_cfg, warm_res.snapshot.nodes, warm_res.snapshot.in_flight,
                       warm_res.violation.witness, warm_res.events, warm_res.violation.state_hashes);

@@ -106,9 +106,8 @@ std::vector<std::uint64_t> counters(const LocalMcStats& s) {
           s.soundness_deferred,  s.deferred_processed,   s.deferred_dropped,
           s.sequences_checked,   s.seq_enum_truncated,   s.combo_truncated,
           s.dup_msgs_suppressed, s.history_skips,        s.local_assert_discards,
-          s.messages_in_iplus,   s.warm_merges,          s.warm_new_roots,
-          s.warm_root_hits,      s.warm_msgs_reused,     s.warm_pairs_skipped,
-          s.checkpoints_written, s.checkpoint_failures,  s.completed ? 1u : 0u,
+          s.messages_in_iplus,   s.warm_pairs_skipped,   s.checkpoints_written,
+          s.checkpoint_failures, s.completed ? 1u : 0u,
           s.max_chain_depth_reached, s.max_total_depth_reached};
 }
 

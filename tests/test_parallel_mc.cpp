@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "mc/local_mc.hpp"
@@ -96,14 +98,55 @@ TEST(WorkerPool, SecondaryExceptionsAreCountedNotLost) {
   EXPECT_EQ(pool.dropped_exceptions(), 2u);
 }
 
+// The edge cases of the former free-function index loop, now run through
+// the pool: width 1 is a plain loop on the caller, in index order; n = 0 and
+// n = 1 never reach the workers; a width above n leaves workers idle.
+
+TEST(ParallelFor, CoversAllIndicesOnce) {
+  WorkerPool pool(8);
+  std::vector<std::atomic<int>> hits(1000);
+  for (auto& h : hits) h.store(0);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, SingleThreadDegenerates) {
+  WorkerPool pool(1);
+  EXPECT_EQ(pool.width(), 1u);
+  std::vector<int> order;
+  pool.run(10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  std::vector<int> expect(10);
+  std::iota(expect.begin(), expect.end(), 0);
+  EXPECT_EQ(order, expect);  // strictly sequential in-order
+}
+
+TEST(ParallelFor, ZeroAndOneElements) {
+  WorkerPool pool(4);
+  std::atomic<int> count{0};
+  pool.run(0, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 0);
+  pool.run(1, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ParallelFor, MoreThreadsThanWork) {
+  WorkerPool pool(16);
+  std::vector<std::atomic<int>> hits(3);
+  for (auto& h : hits) h.store(0);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ParallelFor, PropagatesExceptionsInsteadOfTerminating) {
-  EXPECT_THROW(parallel_for(32, 4,
-                            [](std::size_t i) {
-                              if (i % 2 == 0) throw std::runtime_error("even index");
-                            }),
+  WorkerPool pool(4);
+  EXPECT_THROW(pool.run(32,
+                        [](std::size_t i) {
+                          if (i % 2 == 0) throw std::runtime_error("even index");
+                        }),
                std::runtime_error);
-  // threads <= 1 path throws from the plain loop.
-  EXPECT_THROW(parallel_for(4, 1, [](std::size_t) { throw std::runtime_error("seq"); }),
+  // Width 1 throws from the plain loop on the caller.
+  WorkerPool seq(1);
+  EXPECT_THROW(seq.run(4, [](std::size_t) { throw std::runtime_error("seq"); }),
                std::runtime_error);
 }
 
@@ -220,7 +263,6 @@ void expect_identical_runs(const LocalModelChecker& a, const LocalModelChecker& 
     EXPECT_EQ(va.state_hashes, vb.state_hashes);
     EXPECT_EQ(va.system_state, vb.system_state);
     EXPECT_EQ(va.confirmed, vb.confirmed);
-    EXPECT_EQ(va.epoch, vb.epoch);
     ASSERT_EQ(va.witness.size(), vb.witness.size()) << "witness schedules diverged";
     for (std::size_t s = 0; s < va.witness.size(); ++s) {
       EXPECT_EQ(va.witness[s].node, vb.witness[s].node);

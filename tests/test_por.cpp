@@ -1,6 +1,6 @@
 // Partial-order reduction (DESIGN.md §14): the reduced-vs-unreduced
 // differential battery over the frozen fuzz corpus, the symmetric
-// generator and the zoo; 1-vs-8-thread byte identity; checkpoint v5
+// generator and the zoo; 1-vs-8-thread byte identity; checkpoint
 // section-14 round-trips (including the deferred-pair tail); the
 // mode/digest resume guards; and the Paxos prune-effectiveness floor that
 // keeps the whole apparatus from silently degrading to a no-op.

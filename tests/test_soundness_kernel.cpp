@@ -2,8 +2,8 @@
 // test-only references, and the index's incremental refresh.
 //
 //  * Differential: on seeded random small stores — message and internal
-//    edges, self-loops, duplicate in-flight copies, cycles, several epochs,
-//    free nodes — verify() must agree with a brute-force BFS over (positions,
+//    edges, self-loops, duplicate in-flight copies, cycles, free nodes —
+//    verify() must agree with a brute-force BFS over (positions,
 //    net multiset) on the raw store with no pruning, every sound verdict's
 //    witness must replay edge by edge, and target_feasible() must equal a
 //    direct set-based transcription of its definition (and hold for every
@@ -38,14 +38,11 @@ NodeStateRec state(Hash64 h) {
   return r;
 }
 
-/// One soundness problem: a store plus the epochs schedules may start from.
+/// One soundness problem: a store whose state 0 per node is the snapshot
+/// every schedule starts from, plus the snapshot's in-flight messages.
 struct Case {
   LocalStore store{1};
-  struct Seed {
-    std::vector<std::uint32_t> roots;
-    std::vector<Hash64> in_flight;
-  };
-  std::vector<Seed> epochs;
+  std::vector<Hash64> in_flight;
   /// Per node: extra messages the node is known to send without an edge
   /// generating them (the checker's sends of discarded executions).
   std::vector<std::vector<Hash64>> extra_sent;
@@ -91,20 +88,12 @@ Case random_case(std::uint64_t seed) {
     for (NodeStateRec& r : recs) c.store.add(n, std::move(r));
     if (rng.chance(20)) c.extra_sent[n].push_back(msg());
   }
-  const std::uint32_t n_epochs = rng.chance(30) ? 2 : 1;
-  for (std::uint32_t e = 0; e < n_epochs; ++e) {
-    Case::Seed sd;
-    for (NodeId n = 0; n < n_nodes; ++n)
-      sd.roots.push_back(e == 0 ? 0 : static_cast<std::uint32_t>(rng.below(c.store.size(n))));
-    for (std::uint32_t k = rng.range(0, 3); k > 0; --k) sd.in_flight.push_back(msg());
-    c.epochs.push_back(std::move(sd));
-  }
+  for (std::uint32_t k = rng.range(0, 3); k > 0; --k) c.in_flight.push_back(msg());
   return c;
 }
 
 std::unique_ptr<SoundnessIndex> build_index(const Case& c) {
-  auto idx = std::make_unique<SoundnessIndex>(c.store.num_nodes());
-  for (const Case::Seed& sd : c.epochs) idx->add_epoch(sd.roots, sd.in_flight);
+  auto idx = std::make_unique<SoundnessIndex>(c.store.num_nodes(), c.in_flight);
   idx->refresh(c.store, nullptr, &c.extra_sent);
   return idx;
 }
@@ -139,7 +128,7 @@ struct Brute {
   bool sound = false;
 };
 
-/// Exhaustive BFS over (positions, net multiset) from every epoch, no
+/// Exhaustive BFS over (positions, net multiset) from the snapshot, no
 /// pruning. Inconclusive when the reachable space exceeds `limit` joint
 /// states (cycles that send can make it infinite).
 Brute brute_force(const Case& c, const std::vector<std::uint32_t>& combo,
@@ -151,34 +140,32 @@ Brute brute_force(const Case& c, const std::vector<std::uint32_t>& combo,
     return true;
   };
   Brute out;
-  for (const Case::Seed& sd : c.epochs) {
-    using Joint = std::pair<std::vector<std::uint32_t>, Net>;
-    std::set<Joint> seen;
-    std::deque<Joint> work;
-    Net net0;
-    for (Hash64 h : sd.in_flight) ++net0[h];
-    work.emplace_back(sd.roots, net0);
-    seen.insert(work.back());
-    while (!work.empty()) {
-      Joint j = std::move(work.front());
-      work.pop_front();
-      if (goal(j.first)) {
-        out.sound = true;
-        out.conclusive = true;
-        return out;
-      }
-      for (NodeId n = 0; n < n_nodes; ++n)
-        for_each_enabled(c.store, n, j.first[n], j.second, [&](const Pred& p, std::uint32_t to) {
-          Joint k = j;
-          if (p.is_message) consume(k.second, p.ev_hash);
-          for (Hash64 g : p.gen) ++k.second[g];
-          k.first[n] = to;
-          if (seen.size() < limit && seen.insert(k).second)
-            work.push_back(std::move(k));
-          else if (seen.size() >= limit)
-            out.conclusive = false;
-        });
+  using Joint = std::pair<std::vector<std::uint32_t>, Net>;
+  std::set<Joint> seen;
+  std::deque<Joint> work;
+  Net net0;
+  for (Hash64 h : c.in_flight) ++net0[h];
+  work.emplace_back(std::vector<std::uint32_t>(n_nodes, 0), net0);
+  seen.insert(work.back());
+  while (!work.empty()) {
+    Joint j = std::move(work.front());
+    work.pop_front();
+    if (goal(j.first)) {
+      out.sound = true;
+      out.conclusive = true;
+      return out;
     }
+    for (NodeId n = 0; n < n_nodes; ++n)
+      for_each_enabled(c.store, n, j.first[n], j.second, [&](const Pred& p, std::uint32_t to) {
+        Joint k = j;
+        if (p.is_message) consume(k.second, p.ev_hash);
+        for (Hash64 g : p.gen) ++k.second[g];
+        k.first[n] = to;
+        if (seen.size() < limit && seen.insert(k).second)
+          work.push_back(std::move(k));
+        else if (seen.size() >= limit)
+          out.conclusive = false;
+      });
   }
   return out;
 }
@@ -187,12 +174,10 @@ Brute brute_force(const Case& c, const std::vector<std::uint32_t>& combo,
 /// store: the target's backward closure, message edges pruned to a
 /// fixpoint against (other nodes' sends + every in-flight message + what
 /// the closure's surviving edges send), then forward reachability from
-/// every epoch root over surviving non-self-loop edges.
+/// state 0 over surviving non-self-loop edges.
 bool reference_feasible(const Case& c, NodeId n, std::uint32_t target) {
-  for (const Case::Seed& sd : c.epochs)
-    if (sd.roots[n] == target) return true;
-  std::set<Hash64> other;
-  for (const Case::Seed& sd : c.epochs) other.insert(sd.in_flight.begin(), sd.in_flight.end());
+  if (target == 0) return true;
+  std::set<Hash64> other(c.in_flight.begin(), c.in_flight.end());
   for (NodeId m = 0; m < c.store.num_nodes(); ++m) {
     if (m == n) continue;
     other.insert(c.extra_sent[m].begin(), c.extra_sent[m].end());
@@ -231,9 +216,8 @@ bool reference_feasible(const Case& c, NodeId n, std::uint32_t target) {
         ++i;
       }
   }
-  std::set<std::uint32_t> reached;
-  for (const Case::Seed& sd : c.epochs)
-    if (reached.insert(sd.roots[n]).second) work.push_back(sd.roots[n]);
+  std::set<std::uint32_t> reached{0};
+  work.push_back(0);
   while (!work.empty()) {
     const std::uint32_t s = work.back();
     work.pop_back();
@@ -243,15 +227,14 @@ bool reference_feasible(const Case& c, NodeId n, std::uint32_t target) {
   return reached.count(target) != 0;
 }
 
-/// Re-run a sound verdict's schedule on the raw store from its epoch: every
-/// step must name exactly one enabled transition, and the run must end on
-/// final_combo with every fixed node on its target.
+/// Re-run a sound verdict's schedule on the raw store from the snapshot:
+/// every step must name exactly one enabled transition, and the run must
+/// end on final_combo with every fixed node on its target.
 void expect_witness_replays(const Case& c, const std::vector<std::uint32_t>& combo,
                             const std::vector<bool>& fixed, const SoundnessResult& res) {
-  ASSERT_LT(res.epoch, c.epochs.size());
-  std::vector<std::uint32_t> pos = c.epochs[res.epoch].roots;
+  std::vector<std::uint32_t> pos(c.store.num_nodes(), 0);
   Net net;
-  for (Hash64 h : c.epochs[res.epoch].in_flight) ++net[h];
+  for (Hash64 h : c.in_flight) ++net[h];
   for (const ScheduleStep& st : res.schedule) {
     const Pred* hit = nullptr;
     std::uint32_t to = 0;
@@ -291,7 +274,7 @@ TEST(SoundnessKernel, AgreesWithBruteForceOnRandomStores) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Case c = random_case(seed);
     const auto idx = build_index(c);
-    const SoundnessVerifier v(*idx, c.store, capped());
+    const SoundnessVerifier v(*idx, capped());
     dfuzz::Rng rng(seed * 7919);
     const NodeId n_nodes = c.store.num_nodes();
     for (int k = 0; k < 6; ++k) {
@@ -330,15 +313,14 @@ TEST(SoundnessKernel, AgreesWithBruteForceOnRandomStores) {
 }
 
 TEST(SoundnessKernel, AllFixedVerifyMatchesStandaloneVerifier) {
-  // The offline constructor (own index, one epoch) and a caller-maintained
-  // index answer identically, expansion counts included.
+  // The standalone constructor (own index) and a caller-maintained index
+  // answer identically, expansion counts included.
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     Case c = random_case(seed);
-    c.epochs.resize(1);
     for (auto& extra : c.extra_sent) extra.clear();
     const auto idx = build_index(c);
-    const SoundnessVerifier shared(*idx, c.store, capped());
-    const SoundnessVerifier own(c.store, c.epochs[0].in_flight, capped());
+    const SoundnessVerifier shared(*idx, capped());
+    const SoundnessVerifier own(c.store, c.in_flight, capped());
     std::vector<std::uint32_t> combo(c.store.num_nodes(), 0);
     for (NodeId n = 0; n < c.store.num_nodes(); ++n) combo[n] = c.store.size(n) - 1;
     const SoundnessResult a = shared.verify(combo), b = own.verify(combo);
@@ -361,7 +343,7 @@ TEST(SoundnessKernel, ConcurrentVerifiersOnOneIndexMatchSequential) {
     idxs.push_back(build_index(cases.back()));
   }
   auto run_case = [&](std::size_t i) {
-    const SoundnessVerifier v(*idxs[i], cases[i].store, capped());
+    const SoundnessVerifier v(*idxs[i], capped());
     std::vector<std::uint64_t> out;
     for (NodeId n = 0; n < cases[i].store.num_nodes(); ++n)
       for (std::uint32_t s = 0; s < cases[i].store.size(n); ++s) {
@@ -419,33 +401,31 @@ std::vector<std::uint64_t> edge_counts(const LocalStore& store) {
 
 TEST(SoundnessRefresh, NewPredEdgeOnKnownStateMakesComboSound) {
   LocalStore store = unsound_pair();
-  SoundnessIndex idx(2);
-  idx.add_epoch({0, 0}, {});
+  SoundnessIndex idx(2, {});
   std::vector<std::uint64_t> counts = edge_counts(store);
   idx.refresh(store, &counts);
-  EXPECT_FALSE(SoundnessVerifier(idx, store, {}).verify({1, 1}).sound);
-  EXPECT_FALSE(SoundnessVerifier(idx, store, {}).target_feasible(1, 1));
+  EXPECT_FALSE(SoundnessVerifier(idx, {}).verify({1, 1}).sound);
+  EXPECT_FALSE(SoundnessVerifier(idx, {}).target_feasible(1, 1));
 
   // A second path into the KNOWN state 1 of node 0, this one sending M —
   // the checker's "known state reached by a new path" (no new state).
   store.rec(0, 1).preds.push_back(Pred{0, false, 0xE2, {kM}});
   counts = edge_counts(store);
   idx.refresh(store, &counts);
-  const SoundnessResult res = SoundnessVerifier(idx, store, {}).verify({1, 1});
+  const SoundnessResult res = SoundnessVerifier(idx, {}).verify({1, 1});
   ASSERT_TRUE(res.sound);
   ASSERT_EQ(res.schedule.size(), 2u);
   EXPECT_EQ(res.schedule[0].ev_hash, 0xE2u);
   EXPECT_EQ(res.schedule[1].ev_hash, kM);
-  EXPECT_TRUE(SoundnessVerifier(idx, store, {}).target_feasible(1, 1));
+  EXPECT_TRUE(SoundnessVerifier(idx, {}).target_feasible(1, 1));
 }
 
 TEST(SoundnessRefresh, NewSelfLoopAndNewStatesAreIngested) {
   LocalStore store = unsound_pair();
-  SoundnessIndex idx(2);
-  idx.add_epoch({0, 0}, {});
+  SoundnessIndex idx(2, {});
   std::vector<std::uint64_t> counts = edge_counts(store);
   idx.refresh(store, &counts);
-  EXPECT_FALSE(SoundnessVerifier(idx, store, {}).verify({0, 1}).sound);
+  EXPECT_FALSE(SoundnessVerifier(idx, {}).verify({0, 1}).sound);
 
   // A relay on node 0's root that sends M, plus a new node-1 state behind
   // state 1: both must be visible after one refresh.
@@ -455,23 +435,22 @@ TEST(SoundnessRefresh, NewSelfLoopAndNewStatesAreIngested) {
   store.add(1, std::move(c));
   counts = edge_counts(store);
   idx.refresh(store, &counts);
-  EXPECT_TRUE(SoundnessVerifier(idx, store, {}).verify({0, 1}).sound);
-  EXPECT_TRUE(SoundnessVerifier(idx, store, {}).verify({0, 2}).sound);
+  EXPECT_TRUE(SoundnessVerifier(idx, {}).verify({0, 1}).sound);
+  EXPECT_TRUE(SoundnessVerifier(idx, {}).verify({0, 2}).sound);
 }
 
 TEST(SoundnessRefresh, SendLogTailIsIngested) {
   // target_feasible assumes every message another node is known to send —
   // including sends with no generating edge, fed through the send log.
   LocalStore store = unsound_pair();
-  SoundnessIndex idx(2);
-  idx.add_epoch({0, 0}, {});
+  SoundnessIndex idx(2, {});
   std::vector<std::vector<Hash64>> sent(2);
   idx.refresh(store, nullptr, &sent);
-  EXPECT_FALSE(SoundnessVerifier(idx, store, {}).target_feasible(1, 1));
+  EXPECT_FALSE(SoundnessVerifier(idx, {}).target_feasible(1, 1));
   sent[0].push_back(kM);
   idx.refresh(store, nullptr, &sent);
-  EXPECT_TRUE(SoundnessVerifier(idx, store, {}).target_feasible(1, 1));
-  EXPECT_FALSE(SoundnessVerifier(idx, store, {}).verify({1, 1}).sound)
+  EXPECT_TRUE(SoundnessVerifier(idx, {}).target_feasible(1, 1));
+  EXPECT_FALSE(SoundnessVerifier(idx, {}).verify({1, 1}).sound)
       << "no edge generates M: the joint search still refutes";
 }
 
@@ -492,8 +471,7 @@ TEST(SoundnessRefresh, IncrementalIndexEqualsFreshBuild) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const Case full = random_case(seed);
     LocalStore grown(full.store.num_nodes());
-    SoundnessIndex idx(full.store.num_nodes());
-    idx.add_epoch(full.epochs[0].roots, full.epochs[0].in_flight);
+    SoundnessIndex idx(full.store.num_nodes(), full.in_flight);
     // Replay the store in a different order: all states first (bare), then
     // every edge, newest state first.
     for (NodeId n = 0; n < full.store.num_nodes(); ++n)
@@ -515,8 +493,7 @@ TEST(SoundnessRefresh, IncrementalIndexEqualsFreshBuild) {
           idx.refresh(grown, &counts);
         }
       }
-    SoundnessIndex fresh(full.store.num_nodes());
-    fresh.add_epoch(full.epochs[0].roots, full.epochs[0].in_flight);
+    SoundnessIndex fresh(full.store.num_nodes(), full.in_flight);
     fresh.refresh(full.store);
     for (NodeId n = 0; n < full.store.num_nodes(); ++n)
       EXPECT_EQ(csr(idx, n), csr(fresh, n)) << "seed " << seed << " node " << n;
