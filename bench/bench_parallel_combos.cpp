@@ -4,10 +4,11 @@
 // the WiDS violation.
 //
 // Prints, per thread count: total wall time, the phase-2 share
-// (system_state_s + deferred_s), the speedup of that share over the
-// 1-thread run, and the confirmed-violation fingerprint — which must be
-// identical across all thread counts (the determinism contract). Exits
-// non-zero if any run's results diverge from the single-threaded run.
+// (system_state_s + soundness_wall_s + deferred_s), the speedup of that
+// share over the 1-thread run, and the confirmed-violation fingerprint —
+// which must be identical across all thread counts (the determinism
+// contract). Exits non-zero if any run's results diverge from the
+// single-threaded run.
 //
 // Knobs: LMC_BENCH_BUDGET_S (default 300), LMC_BENCH_THREADS (max, def. 8),
 // LMC_BENCH_MAX_DEPTH (default 18).
@@ -100,7 +101,8 @@ int main(int argc, char** argv) {
   const std::uint32_t depth = env_u("LMC_BENCH_MAX_DEPTH", 18);
 
   std::printf("# phase-2 parallel scaling — §5.5 buggy-Paxos live state (WiDS bug)\n");
-  std::printf("# phase2_s = system_state_s + deferred_s (sweep + soundness wall time)\n");
+  std::printf("# phase2_s = system_state_s + soundness_wall_s + deferred_s"
+              " (sweep + soundness + drain wall time)\n");
   std::printf("%8s %10s %10s %10s %10s %10s %9s\n", "threads", "total_s", "phase2_s",
               "speedup", "combos", "confirmed", "match");
 
@@ -125,7 +127,8 @@ int main(int argc, char** argv) {
     LocalModelChecker mc(cfg, inv.get(), opt);
     mc.run(live, {});
 
-    const double phase2 = mc.stats().system_state_s + mc.stats().deferred_s;
+    const double phase2 =
+        mc.stats().system_state_s + mc.stats().soundness_wall_s + mc.stats().deferred_s;
     const Fingerprint f = fingerprint(mc);
     bool match = true;
     if (threads == 1) {

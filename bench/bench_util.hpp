@@ -151,7 +151,7 @@ inline void add_lmc_metrics(obs::BenchRecord& rec, const LocalMcStats& s) {
   rec.metric("deferred_dropped", s.deferred_dropped);
   rec.metric("stored_bytes", static_cast<std::uint64_t>(s.stored_bytes));
   rec.metric("elapsed_s", s.elapsed_s);
-  rec.metric("soundness_s", s.soundness_s);
+  rec.metric("system_state_s", s.system_state_s);
   rec.metric("soundness_wall_s", s.soundness_wall_s);
   rec.metric("deferred_s", s.deferred_s);
   rec.metric("completed", static_cast<std::uint64_t>(s.completed ? 1 : 0));

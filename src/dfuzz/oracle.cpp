@@ -85,7 +85,7 @@ std::string scratch_checkpoint_path(const std::string& dir) {
 Blob normalized_checkpoint_bytes(const Blob& checkpoint) {
   CheckerImage img = decode_checkpoint(checkpoint);
   img.stats.elapsed_s = 0.0;
-  img.stats.soundness_s = 0.0;
+  img.stats.checkpoint_s = 0.0;
   img.stats.system_state_s = 0.0;
   img.stats.deferred_s = 0.0;
   img.stats.soundness_wall_s = 0.0;

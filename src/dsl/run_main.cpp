@@ -203,8 +203,11 @@ bool diff_check_from(const char* label, const SystemConfig& cfg,
   tot.confirmed += l.stats().confirmed_violations;
   if (confirmed_out != nullptr) *confirmed_out = l.stats().confirmed_violations;
   if (!l.stats().completed) {
+    // The drain did not finish: the confirmed count is a lower bound.
     ++tot.inconclusive;
-    std::printf("  %s: inconclusive (local checker hit a budget)\n", label);
+    std::printf("  %s: inconclusive (local checker hit a budget; %" PRIu64
+                " deferral(s) left unverified)\n",
+                label, l.stats().soundness_deferred - l.stats().deferred_processed);
     return true;
   }
 

@@ -483,12 +483,7 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
     if (cache != nullptr && cache->peek(e.hash, rec.hash)) {
       ex.peek_hit = true;
     } else {
-      ex.result = exec_message(cfg_, t.node, rec.blob, e.msg);
-      if (opt_.audit_validity) {
-        const AuditReport rep = audit_message(cfg_, t.node, rec.blob, e.msg, ex.result);
-        audits_performed_.fetch_add(1, std::memory_order_relaxed);
-        if (!rep.ok) throw ModelValidityError(t.node, rep.detail);
-      }
+      ex.result = exec_audited(ex, rec.blob, &e.msg);
     }
     if (timing) ex.exec_s = now_s() - tr0;
     out.push_back(std::move(ex));
@@ -504,18 +499,26 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
       if (cache != nullptr && cache->peek(ex.ev_hash, rec.hash)) {
         ex.peek_hit = true;
       } else {
-        ex.result = exec_internal(cfg_, t.node, rec.blob, ev);
-        if (opt_.audit_validity) {
-          const AuditReport rep = audit_internal(cfg_, t.node, rec.blob, ev, ex.result);
-          audits_performed_.fetch_add(1, std::memory_order_relaxed);
-          if (!rep.ok) throw ModelValidityError(t.node, rep.detail);
-        }
+        ex.result = exec_audited(ex, rec.blob, nullptr);
       }
       if (timing) ex.exec_s = now_s() - tr0;
       out.push_back(std::move(ex));
     }
   }
   return out;
+}
+
+ExecResult LocalModelChecker::exec_audited(const Exec& e, const Blob& state,
+                                           const Message* msg) {
+  ExecResult r = e.is_message ? exec_message(cfg_, e.node, state, *msg)
+                              : exec_internal(cfg_, e.node, state, e.ev);
+  if (opt_.audit_validity) {
+    const AuditReport rep = e.is_message ? audit_message(cfg_, e.node, state, *msg, r)
+                                         : audit_internal(cfg_, e.node, state, e.ev, r);
+    audits_performed_.fetch_add(1, std::memory_order_relaxed);
+    if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
+  }
+  return r;
 }
 
 void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
@@ -544,22 +547,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
         // The worker's peek saw the pair but a generation rotation evicted
         // it before consumption: execute here (rare; still audited).
         const double tr0 = opt_.trace != nullptr || opt_.profile != nullptr ? now_s() : 0.0;
-        if (e.is_message) {
-          const Message* m = net_.find(e.ev_hash);
-          e.result = exec_message(cfg_, e.node, pred0.blob, *m);
-          if (opt_.audit_validity) {
-            const AuditReport rep = audit_message(cfg_, e.node, pred0.blob, *m, e.result);
-            audits_performed_.fetch_add(1, std::memory_order_relaxed);
-            if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
-          }
-        } else {
-          e.result = exec_internal(cfg_, e.node, pred0.blob, e.ev);
-          if (opt_.audit_validity) {
-            const AuditReport rep = audit_internal(cfg_, e.node, pred0.blob, e.ev, e.result);
-            audits_performed_.fetch_add(1, std::memory_order_relaxed);
-            if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
-          }
-        }
+        e.result = exec_audited(e, pred0.blob, e.is_message ? net_.find(e.ev_hash) : nullptr);
         if (opt_.trace != nullptr || opt_.profile != nullptr) e.exec_s = now_s() - tr0;
       }
       cache->insert(e.ev_hash, pred0.hash, e.result);
@@ -703,18 +691,8 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
 
   register_projection(e.node, idx);
 
-  if (opt_.enable_system_states && invariant_ != nullptr && !stop_) {
-    const double t0 = now_s();
-    const std::uint64_t pre_ss = stats_.system_states;
-    const std::uint64_t pre_pv = stats_.prelim_violations;
+  if (opt_.enable_system_states && invariant_ != nullptr && !stop_)
     check_combinations(e.node, idx);
-    const double dt = now_s() - t0;
-    stats_.system_state_s += dt;
-    LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
-    LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
-                                     /*site=*/0, stats_.system_states - pre_ss,
-                                     stats_.prelim_violations - pre_pv, dt, e.node)));
-  }
 }
 
 bool LocalModelChecker::combo_violates(const std::vector<std::uint32_t>& combo) const {
@@ -729,28 +707,6 @@ bool LocalModelChecker::combo_violates(const std::vector<std::uint32_t>& combo) 
   SystemStateView view(cfg_.num_nodes);
   for (NodeId i = 0; i < cfg_.num_nodes; ++i) view[i] = &store_.rec(i, combo[i]).blob;
   return !invariant_->holds(cfg_, view);
-}
-
-void LocalModelChecker::check_one_combination(std::vector<std::uint32_t>& combo) {
-  // System-state creation and soundness can dwarf exploration (Fig. 13);
-  // honor the wall-clock budget from inside the combination loops too.
-  if ((++combo_probe_ & 0xff) == 0 && hard_budget_exceeded()) {
-    stats_.completed = false;
-    stop_ = true;
-    return;
-  }
-  std::uint64_t depth_sum = 0;
-  for (NodeId i = 0; i < cfg_.num_nodes; ++i) depth_sum += store_.rec(i, combo[i]).depth;
-  if (depth_sum > opt_.max_total_depth) return;
-  stats_.max_total_depth_reached =
-      std::max<std::uint32_t>(stats_.max_total_depth_reached,
-                              static_cast<std::uint32_t>(depth_sum));
-  ++stats_.system_states;
-  ++stats_.invariant_checks;
-  if (!combo_violates(combo)) return;
-  std::vector<Deferred> one(1);
-  one[0].combo = combo;
-  verify_prelims(std::move(one), /*phase2=*/false);
 }
 
 void LocalModelChecker::pool_run(std::size_t n, const std::function<void(std::size_t)>& fn) {
@@ -824,14 +780,13 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     std::uint64_t calls = 1;
     std::uint64_t tried = 0;  ///< symmetry jobs: concrete assignments expanded
   };
+  const double wall_t0 = now_s();
   std::vector<Outcome> out(jobs.size());
   // Catch the shared index up with the store on this (merging) thread; the
   // workers below only read it.
   const SoundnessIndex& sidx = soundness_index();
   obs::TraceSink* const tsink = opt_.trace;
-  obs::ProfileSink* const psink = opt_.profile;
   const obs::Phase tphase = phase2 ? obs::Phase::kDrain : obs::Phase::kSoundness;
-  const double wall_t0 = now_s();
 
   // Fan out: every job is verified independently against the frozen stores
   // and index by its own borrowing SoundnessVerifier; outcomes land in
@@ -913,10 +868,6 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
         tsink->record_worker(tev(EventType::kSoundnessRun, tphase, cur_round_,
                                  static_cast<std::uint64_t>(o.kind), 0, phase2 ? 1 : 0, o.secs,
                                  TraceEvent::kNoNode, i));
-      if (psink != nullptr) {
-        psink->count_worker(obs::Counter::kSoundnessJobs);
-        psink->time_worker(tphase, o.secs);
-      }
       return;
     }
     // Per-member pre-check: a combination whose members cannot
@@ -944,13 +895,14 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       tsink->record_worker(tev(EventType::kSoundnessRun, tphase, cur_round_,
                                static_cast<std::uint64_t>(o.kind), 0, phase2 ? 1 : 0, o.secs,
                                TraceEvent::kNoNode, i));
-    if (psink != nullptr) {
-      psink->count_worker(obs::Counter::kSoundnessJobs);
-      psink->time_worker(tphase, o.secs);
-    }
   });
   if (tsink != nullptr) tsink->drain_workers();
-  if (psink != nullptr) psink->drain_workers();
+  // A job counts once it ran: symmetry jobs whenever they were not skipped,
+  // plain jobs only past the member pre-check.
+  if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr)
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      if (out[i].kind != Kind::Skipped && (out[i].kind != Kind::FeasSkip || jobs[i].sym))
+        psink->count(obs::Counter::kSoundnessJobs);
 
   // Deterministic merge in enumeration/queue order: counters, the deferred
   // queue and confirmed violations come out identical for any thread count.
@@ -984,15 +936,10 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
         ++stats_.deferred_dropped;
       }
     };
-    // dur carries exactly the seconds added to stats_.soundness_s for this
-    // job (0 when none were), so a report's sum reproduces it bit-for-bit.
-    auto verdict_ev = [&](double secs) {
-      LMC_TRACE(tsink, record(tev(EventType::kSoundnessVerdict, tphase, cur_round_,
-                                  static_cast<std::uint64_t>(o.kind), o.res.schedules_checked,
-                                  phase2 ? 1 : 0, secs, TraceEvent::kNoNode, i)));
-    };
+    LMC_TRACE(tsink, record(tev(EventType::kSoundnessVerdict, tphase, cur_round_,
+                                static_cast<std::uint64_t>(o.kind), o.res.schedules_checked,
+                                phase2 ? 1 : 0, o.secs, TraceEvent::kNoNode, i)));
     if (o.kind == Kind::FeasSkip) {
-      verdict_ev(0.0);
       if (!phase2) {
         defer(std::move(jobs[i]));
         continue;
@@ -1002,9 +949,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       continue;
     }
     stats_.soundness_calls += o.calls;
-    stats_.soundness_s += o.secs;
     stats_.sequences_checked += o.res.schedules_checked;
-    verdict_ev(o.secs);
     switch (o.kind) {
       case Kind::Sound:
         record_confirmed(jobs[i].combo, std::move(o.res));
@@ -1026,13 +971,9 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     }
   }
 
-  // Wall seconds of the whole phase, as seen by this (merging) thread — the
-  // counterpart to the AGGREGATE soundness_s summed across workers above.
-  const double wall_dt = now_s() - wall_t0;
-  stats_.soundness_wall_s += wall_dt;
-  LMC_PROF(psink, phase_wall(tphase, wall_dt));
-  LMC_TRACE(tsink, record(tev(EventType::kSoundnessPhase, tphase, cur_round_, jobs.size(),
-                              phase2 ? 1 : 0, 0, wall_dt)));
+  const double dt = charge(tphase, wall_t0);
+  LMC_TRACE(tsink, record(tev(phase2 ? EventType::kDeferralDrain : EventType::kSoundnessPhase,
+                              tphase, cur_round_, jobs.size(), 0, 0, dt)));
 }
 
 void LocalModelChecker::record_confirmed(const std::vector<std::uint32_t>& combo,
@@ -1053,83 +994,94 @@ void LocalModelChecker::record_confirmed(const std::vector<std::uint32_t>& combo
 }
 
 void LocalModelChecker::process_deferred() {
-  if (deferred_.empty() || !opt_.enable_soundness) return;
+  if (!opt_.enable_soundness) return;
   // Phase 2: a parallel drain — each queued combination gets its own
   // independent SoundnessVerifier with the full caps; outcomes are merged
   // in queue order so the drain is deterministic across thread counts.
-  const double t0 = now_s();
   std::vector<Deferred> jobs;
   jobs.swap(deferred_);
-  const std::size_t n_jobs = jobs.size();
   verify_prelims(std::move(jobs), /*phase2=*/true);
+}
+
+double LocalModelChecker::charge(obs::Phase layer, double t0) {
   const double dt = now_s() - t0;
-  stats_.deferred_s += dt;
-  LMC_TRACE(opt_.trace, record(tev(EventType::kDeferralDrain, obs::Phase::kDrain, cur_round_,
-                                   n_jobs, 0, 0, dt)));
+  double& field = layer == obs::Phase::kSweep       ? stats_.system_state_s
+                  : layer == obs::Phase::kSoundness ? stats_.soundness_wall_s
+                  : layer == obs::Phase::kDrain     ? stats_.deferred_s
+                                                    : stats_.checkpoint_s;
+  field += dt;
+  LMC_PROF(opt_.profile, phase_wall(layer, dt));
+  return dt;
+}
+
+void LocalModelChecker::sweep_site(std::uint64_t site, NodeId node,
+                                   const std::function<void(std::vector<Deferred>&)>& enumerate) {
+  const double t0 = now_s();
+  const std::uint64_t pre_ss = stats_.system_states;
+  const std::uint64_t pre_pv = stats_.prelim_violations;
+  std::vector<Deferred> prelims;
+  enumerate(prelims);
+  const double dt = charge(obs::Phase::kSweep, t0);
+  if (!stop_) verify_prelims(std::move(prelims), /*phase2=*/false);
+  LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_, site,
+                                   stats_.system_states - pre_ss,
+                                   stats_.prelim_violations - pre_pv, dt, node)));
 }
 
 void LocalModelChecker::check_snapshot_combination() {
   if (!opt_.enable_system_states || invariant_ == nullptr) return;
-  std::vector<std::uint32_t> combo(cfg_.num_nodes, 0);  // every node on LS_n[0]
-  const double t0 = now_s();
-  const std::uint64_t pre_ss = stats_.system_states;
-  const std::uint64_t pre_pv = stats_.prelim_violations;
-  if (canon_ != nullptr) {
-    // Route the live combination through the orbit machinery, so its orbit
-    // is marked seen and later sweeps do not re-count it.
-    const auto& classes = canon_->classes();
-    std::vector<std::vector<std::uint32_t>> counts(classes.size());
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      counts[c].assign(canon_->universe(c).entries().size(), 0);
-      for (NodeId m : classes[c])
-        ++counts[c][canon_->universe(c).find(store_.rec(m, 0).hash)];
+  sweep_site(/*site=*/2, TraceEvent::kNoNode, [&](std::vector<Deferred>& prelims) {
+    std::vector<std::uint32_t> combo(cfg_.num_nodes, 0);  // every node on LS_n[0]
+    if (canon_ != nullptr) {
+      // Route the live combination through the orbit machinery, so its orbit
+      // is marked seen and later sweeps do not re-count it.
+      const auto& classes = canon_->classes();
+      std::vector<std::vector<std::uint32_t>> counts(classes.size());
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        counts[c].assign(canon_->universe(c).entries().size(), 0);
+        for (NodeId m : classes[c])
+          ++counts[c][canon_->universe(c).find(store_.rec(m, 0).hash)];
+      }
+      SymSweepCtx ctx{opt_.max_system_states_per_step, false};
+      sym_consider(combo, counts, ctx);
+      return;
     }
-    SymSweepCtx ctx{opt_.max_system_states_per_step, false};
-    sym_consider(combo, counts, ctx);
-    const double dt = now_s() - t0;
-    stats_.system_state_s += dt;
-    LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
-    LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
-                                     /*site=*/2, stats_.system_states - pre_ss,
-                                     stats_.prelim_violations - pre_pv, dt)));
-    return;
-  }
-  if (opt_.use_projection && invariant_->has_projection()) {
     // LMC-OPT materializes a system state only when projections flag a
     // possible violation (keeps "OPT creates zero system states" exact on
     // correct protocols, Fig. 11) — the live state included.
-    if (combo_violates(combo)) check_one_combination(combo);
-  } else {
-    check_one_combination(combo);
-  }
-  const double dt = now_s() - t0;
-  stats_.system_state_s += dt;
-  LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
-  LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
-                                   /*site=*/2, stats_.system_states - pre_ss,
-                                   stats_.prelim_violations - pre_pv, dt)));
+    if (opt_.use_projection && invariant_->has_projection() && !combo_violates(combo)) return;
+    // Same budget probe as the sweeps.
+    if ((++combo_probe_ & 0xff) == 0 && hard_budget_exceeded()) {
+      stats_.completed = false;
+      stop_ = true;
+      return;
+    }
+    ++stats_.system_states;  // every LS_n[0] has depth 0: no depth bound applies
+    ++stats_.invariant_checks;
+    if (!combo_violates(combo)) return;
+    Deferred d;
+    d.combo = std::move(combo);
+    prelims.push_back(std::move(d));
+  });
 }
 
 void LocalModelChecker::check_combinations(NodeId n, std::uint32_t idx) {
   // Sweep the combinations that include the NEW state (n, idx); combinations
-  // of previously seen states were checked in earlier rounds (§4.2). Phase A
-  // (the sweep) shards the enumeration space and collects preliminary
-  // violations in enumeration order; phase B verifies them in parallel and
-  // merges the outcomes in that same order, so the full round is
-  // deterministic regardless of thread count.
-  if (canon_ != nullptr) {
-    // Symmetry reduction: canonical enumeration + always-defer verification
-    // (sweep_sym queues violating orbits straight onto deferred_).
-    sweep_sym(n, idx);
-    return;
-  }
-  std::vector<Deferred> prelims;
-  if (opt_.use_projection && invariant_->has_projection())
-    sweep_opt(n, idx, prelims);
-  else
-    sweep_gen(n, idx, prelims);
-  if (stop_) return;  // budget stop inside the sweep: its findings are dropped
-  verify_prelims(std::move(prelims), /*phase2=*/false);
+  // of previously seen states were checked in earlier rounds (§4.2). The
+  // sweep shards the enumeration space and collects preliminary violations
+  // in enumeration order; verify_prelims checks them in parallel and merges
+  // the outcomes in that same order, so the full round is deterministic
+  // regardless of thread count.
+  sweep_site(/*site=*/0, n, [&](std::vector<Deferred>& prelims) {
+    if (canon_ != nullptr)
+      // Symmetry reduction: canonical enumeration + always-defer verification
+      // (sweep_sym queues violating orbits straight onto deferred_).
+      sweep_sym(n, idx);
+    else if (opt_.use_projection && invariant_->has_projection())
+      sweep_opt(n, idx, prelims);
+    else
+      sweep_gen(n, idx, prelims);
+  });
 }
 
 void LocalModelChecker::sweep_gen(NodeId n, std::uint32_t idx, std::vector<Deferred>& prelims) {
@@ -1463,14 +1415,12 @@ void LocalModelChecker::metrics_sample(const char* where, std::uint64_t frontier
   snap.sym_represented = sym_stats_.represented;
   snap.por_pruned = por_stats_.pairs_pruned;
   snap.por_deferred = por_stats_.deferrals;
-  const double elapsed = base_elapsed_s_ + (now_s() - run_t0_);
   snap.sweep_s = stats_.system_state_s;
   snap.soundness_wall_s = stats_.soundness_wall_s;
   snap.deferred_s = stats_.deferred_s;
-  // Exploration wall time is what is left of elapsed once the (serialized)
-  // sweep and drain windows are taken out; soundness phase 1 runs inside
-  // the sweep window, so it is not subtracted again.
-  snap.explore_s = std::max(0.0, elapsed - stats_.system_state_s - stats_.deferred_s);
+  snap.explore_s = obs::explore_wall(base_elapsed_s_ + (now_s() - run_t0_),
+                                     stats_.system_state_s, stats_.soundness_wall_s,
+                                     stats_.deferred_s, stats_.checkpoint_s);
   if (force)
     ms->force(snap);
   else
@@ -1515,9 +1465,9 @@ void LocalModelChecker::maybe_auto_checkpoint() {
     ok = false;
   }
   if (backlog) pending_tasks_.clear();  // the live pipeline still owns them
+  const double dt = charge(obs::Phase::kCheckpoint, now);
   LMC_TRACE(opt_.trace, record(tev(EventType::kCheckpointSave, obs::Phase::kCheckpoint,
-                                   cur_round_, ok ? 1 : 0, stats_.checkpoints_written, 0,
-                                   now_s() - now)));
+                                   cur_round_, ok ? 1 : 0, stats_.checkpoints_written, 0, dt)));
 }
 
 // The phase-1 driver: a work-stealing stream replacing the old
@@ -1537,13 +1487,15 @@ void LocalModelChecker::explore_stream() {
   last_checkpoint_s_ = now_s();
   stats_.completed = true;
 
+  // This segment's wall: what its trace and profile charges add up to.
   auto run_end_ev = [&] {
+    const double segment_s = stats_.elapsed_s - base_elapsed_s_;
     LMC_TRACE(opt_.trace, record(tev(EventType::kRunEnd, obs::Phase::kRun, cur_round_,
                                      stats_.transitions, stats_.confirmed_violations,
-                                     stats_.completed ? 1 : 0, stats_.elapsed_s)));
+                                     stats_.completed ? 1 : 0, segment_s)));
     if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
       psink->note_threads(opt_.num_threads);
-      psink->run_wall(stats_.elapsed_s);
+      psink->run_wall(segment_s);
     }
     metrics_sample("end", 0, /*force=*/true);
   };

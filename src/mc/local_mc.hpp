@@ -56,6 +56,7 @@ namespace lmc {
 class ExecCache;
 
 namespace obs {
+enum class Phase : std::uint8_t;
 class TraceSink;
 class ProfileSink;
 class MetricsSink;
@@ -283,9 +284,17 @@ class LocalModelChecker {
   std::uint64_t publish_round(Pipeline& pipe);
   std::vector<Exec> execute_task(const Task& t);
   void apply_exec(Exec& e, std::uint64_t seq);
+  /// Run e's handler on `state` (the message `msg` for a message Exec, e.ev
+  /// otherwise) and audit it under audit_validity; throws
+  /// ModelValidityError on a failed audit.
+  ExecResult exec_audited(const Exec& e, const Blob& state, const Message* msg);
   void check_snapshot_combination();
   void check_combinations(NodeId n, std::uint32_t idx);
-  void check_one_combination(std::vector<std::uint32_t>& combo);
+  /// The layer ledger's one primitive: one clock read charges the seconds
+  /// since `t0` to exactly one layer — its LocalMcStats field (kSweep,
+  /// kSoundness, kDrain or kCheckpoint) and the profile's phase row — and
+  /// returns them as the dur of the trace event at the call site.
+  double charge(obs::Phase layer, double t0);
   bool combo_violates(const std::vector<std::uint32_t>& combo) const;
   std::uint32_t expand_bound() const;
   bool budget_exceeded() const;
@@ -373,8 +382,15 @@ class LocalModelChecker {
   /// Returns false when the sweep must stop (budget / cap).
   bool sym_consider(std::vector<std::uint32_t>& combo,
                     const std::vector<std::vector<std::uint32_t>>& counts, SymSweepCtx& ctx);
-  /// Verify `jobs` in parallel, merge outcomes in order. phase2 = the
-  /// deferred drain (full caps, no feasibility pre-check, no re-deferral).
+  /// One combination sweep: `enumerate` collects the preliminary
+  /// violations, charged to the sweep layer; their verification follows,
+  /// charged to the soundness layer. One kComboSweep event (a = site) closes
+  /// it. A budget stop inside the enumeration drops its findings.
+  void sweep_site(std::uint64_t site, NodeId node,
+                  const std::function<void(std::vector<Deferred>&)>& enumerate);
+  /// Verify `jobs` in parallel, merge outcomes in order, and charge the
+  /// wall to the soundness layer (phase 1) or the drain layer (phase2: the
+  /// deferred drain — full caps, no re-deferral).
   void verify_prelims(std::vector<Deferred> jobs, bool phase2);
   /// Run fn(0..n-1) on the persistent pool (created lazily; inline when
   /// num_threads <= 1 or n == 1). Worker exceptions rethrow here.

@@ -47,14 +47,19 @@ struct LocalMcStats {
   std::uint64_t checkpoint_failures = 0;  ///< auto-checkpoint writes that failed (run continued)
   std::size_t stored_bytes = 0;           ///< LS + I+ footprint (Fig. 12)
   double elapsed_s = 0.0;
-  double soundness_s = 0.0;               ///< time inside soundness verification; with
-                                          ///< num_threads > 1 this sums per-call durations
-                                          ///< across workers (AGGREGATE, not wall, seconds —
-                                          ///< it can exceed elapsed_s; see soundness_wall_s)
-  double soundness_wall_s = 0.0;          ///< wall time of the soundness phases as observed
-                                          ///< by the merging thread (always <= elapsed_s)
-  double system_state_s = 0.0;            ///< wall time creating/checking system states
+  // The layer ledger (DESIGN.md §10): each wall second of the run is charged
+  // to at most one of these four, and explore is the remainder of elapsed_s
+  // (obs::explore_wall). Each layer holds only its own time.
+  double checkpoint_s = 0.0;              ///< wall time saving auto-checkpoints
+  double system_state_s = 0.0;            ///< wall time enumerating combinations (the sweep,
+                                          ///< without the verification of what it found)
   double deferred_s = 0.0;                ///< wall time in the phase-2 deferred drain
+  double soundness_wall_s = 0.0;          ///< wall time of phase-1 soundness verification
+  /// The search reached its fixpoint and drained every deferral. When false
+  /// (a budget, cancel or stop_on_confirmed stop), confirmed_violations is a
+  /// lower bound: soundness_deferred - deferred_processed deferrals were
+  /// never verified. A stop during exploration keeps them queued, and
+  /// run_resumed finishes the search and then the drain.
   bool completed = false;
   std::uint32_t max_chain_depth_reached = 0;
   std::uint32_t max_total_depth_reached = 0;

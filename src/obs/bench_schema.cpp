@@ -1,7 +1,9 @@
 #include "obs/bench_schema.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -10,8 +12,12 @@
 
 namespace lmc::obs {
 
+// Every record names the hardware thread count it was measured with, so a
+// baseline frozen on one machine class only matches records from that class.
 BenchRecord::BenchRecord(std::string bench, std::string case_label)
-    : bench_(std::move(bench)), case_(std::move(case_label)) {}
+    : bench_(std::move(bench)), case_(std::move(case_label)) {
+  param("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+}
 
 BenchRecord& BenchRecord::param(const std::string& key, const std::string& value) {
   params_.emplace_back(key, json_quote(value));
@@ -123,6 +129,23 @@ bool validate_obs_line(const std::string& line, std::string* err) {
   }
   if (schema->str == "lmc-prof/1") return validate_prof_value(v, err);
   return fail("unknown schema \"" + schema->str + "\"");
+}
+
+std::vector<std::string> validate_obs_file(const std::vector<std::string>& lines) {
+  std::vector<std::string> problems;
+  ProfileData prof;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string err;
+    if (!validate_obs_line(lines[i], &err)) problems.push_back(std::to_string(i + 1) + ": " + err);
+    merge_prof_line(lines[i], prof);
+  }
+  double rows = 0.0;
+  for (double secs : prof.phase_s) rows += secs;
+  if (prof.lines > 0 && std::abs(rows - prof.run_wall_s) > 0.02 * prof.run_wall_s)
+    problems.push_back(" lmc-prof/1 ledger: phase rows sum to " + json_double(rows) +
+                       "s, not the run wall " + json_double(prof.run_wall_s) +
+                       "s (2% tolerance)");
+  return problems;
 }
 
 }  // namespace lmc::obs

@@ -20,8 +20,9 @@ namespace lmc::obs {
 struct JsonValue;
 
 /// Builder for one "lmc-bench/1" record. Params are the inputs that define
-/// the case (depth, threads, seed...); metrics are the measured outputs and
-/// must be numeric.
+/// the case (depth, threads, seed...) and always include `nproc`, the
+/// producing machine's hardware thread count; metrics are the measured
+/// outputs and must be numeric.
 class BenchRecord {
  public:
   BenchRecord(std::string bench, std::string case_label);
@@ -53,5 +54,12 @@ bool validate_bench_record(const JsonValue& v, std::string* err);
 /// ("lmc-bench/1", "lmc-trace/1", "lmc-metrics/1" or "lmc-prof/1"). Lines
 /// without a "schema" key are rejected.
 bool validate_obs_line(const std::string& line, std::string* err);
+
+/// Validate one obs file's non-empty lines (lmc_report --validate): each
+/// line against its schema, then the file's lmc-prof/1 ledger — its phase
+/// rows must sum to its run wall within 2% (validate_prof_value already
+/// rejects a negative row). Returns one "LINE: why" entry per bad line and
+/// one " lmc-prof/1 ledger: why" entry for a bad ledger; empty when valid.
+std::vector<std::string> validate_obs_file(const std::vector<std::string>& lines);
 
 }  // namespace lmc::obs

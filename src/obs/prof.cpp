@@ -1,9 +1,9 @@
 #include "obs/prof.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <tuple>
 
@@ -12,13 +12,6 @@
 namespace lmc::obs {
 
 namespace {
-
-std::uint64_t next_sink_uid() {
-  // Shares nothing with the trace sink's counter: each class keys its own
-  // thread-local lane cache.
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
 constexpr std::size_t kPhaseCount = 7;
@@ -74,18 +67,16 @@ bool RuleKey::operator<(const RuleKey& o) const {
   return std::tie(node, is_message, kind) < std::tie(o.node, o.is_message, o.kind);
 }
 
-ProfileSink::ProfileSink() : uid_(next_sink_uid()) {}
-
 void ProfileSink::count(Counter c, std::uint64_t delta) {
-  master_.counters[static_cast<std::size_t>(c)] += delta;
+  counters_[static_cast<std::size_t>(c)] += delta;
 }
 
 void ProfileSink::count_shard(std::size_t shard, bool hit) {
   if (shard >= kProfShards) return;
   if (hit) {
-    ++master_.shard_hits[shard];
+    ++shard_hits_[shard];
   } else {
-    ++master_.shard_misses[shard];
+    ++shard_misses_[shard];
   }
 }
 
@@ -105,89 +96,13 @@ void ProfileSink::rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
 }
 
 void ProfileSink::phase_wall(Phase p, double secs) {
-  master_.phase_s[static_cast<std::size_t>(p)] += secs;
+  phase_s_[static_cast<std::size_t>(p)] += secs;
 }
 
-void ProfileSink::run_wall(double elapsed_s) {
-  if (elapsed_s > run_wall_s_) run_wall_s_ = elapsed_s;
-}
-
-ProfileSink::Lane* ProfileSink::this_thread_lane() {
-  // Same owner-only pattern as TraceSink::this_thread_lane: keyed by the
-  // sink uid so destroyed/reallocated sinks cannot alias, holding the
-  // Lane* directly so lanes_ growth never invalidates it.
-  struct Cache {
-    std::uint64_t uid = 0;
-    Lane* lane = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.uid == uid_) return cache.lane;
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  auto lane = std::make_unique<Lane>();
-  Lane* raw = lane.get();
-  lanes_.push_back(std::move(lane));
-  cache = Cache{uid_, raw};
-  return raw;
-}
-
-void ProfileSink::count_worker(Counter c, std::uint64_t delta) {
-  this_thread_lane()->slab.counters[static_cast<std::size_t>(c)] += delta;
-}
-
-void ProfileSink::time_worker(Phase p, double secs) {
-  this_thread_lane()->slab.phase_s[static_cast<std::size_t>(p)] += secs;
-}
-
-void ProfileSink::drain_workers() {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  // Identity fields are sums, so fold order cannot matter; attribution
-  // (phase seconds) is summed too — totals are lane-order-invariant.
-  for (auto& lane : lanes_) {
-    Slab& s = lane->slab;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      master_.counters[i] += s.counters[i];
-      s.counters[i] = 0;
-    }
-    for (std::size_t i = 0; i < kProfShards; ++i) {
-      master_.shard_hits[i] += s.shard_hits[i];
-      s.shard_hits[i] = 0;
-      master_.shard_misses[i] += s.shard_misses[i];
-      s.shard_misses[i] = 0;
-    }
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      master_.phase_s[i] += s.phase_s[i];
-      s.phase_s[i] = 0.0;
-    }
-  }
-}
+void ProfileSink::run_wall(double segment_s) { run_wall_s_ += segment_s; }
 
 std::uint64_t ProfileSink::counter(Counter c) const {
-  return master_.counters[static_cast<std::size_t>(c)];
-}
-
-std::uint64_t ProfileSink::shard_hits(std::size_t shard) const {
-  return shard < kProfShards ? master_.shard_hits[shard] : 0;
-}
-
-std::uint64_t ProfileSink::shard_misses(std::size_t shard) const {
-  return shard < kProfShards ? master_.shard_misses[shard] : 0;
-}
-
-double ProfileSink::phase_seconds(Phase p) const {
-  return master_.phase_s[static_cast<std::size_t>(p)];
-}
-
-std::size_t ProfileSink::lanes() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  return lanes_.size();
-}
-
-void ProfileSink::clear() {
-  master_ = Slab{};
-  rules_.clear();
-  run_wall_s_ = 0.0;
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (auto& lane : lanes_) lane->slab = Slab{};
+  return counters_[static_cast<std::size_t>(c)];
 }
 
 std::string ProfileSink::identity_text() const {
@@ -199,13 +114,12 @@ std::string ProfileSink::identity_text() const {
     out += "counter ";
     out += to_string(static_cast<Counter>(i));
     out += ' ';
-    out += std::to_string(master_.counters[i]);
+    out += std::to_string(counters_[i]);
     out += '\n';
   }
   for (std::size_t i = 0; i < kProfShards; ++i) {
-    out += "shard " + std::to_string(i) + ' ' +
-           std::to_string(master_.shard_hits[i]) + ' ' +
-           std::to_string(master_.shard_misses[i]) + '\n';
+    out += "shard " + std::to_string(i) + ' ' + std::to_string(shard_hits_[i]) + ' ' +
+           std::to_string(shard_misses_[i]) + '\n';
   }
   for (const auto& [key, r] : rules_) {
     out += "rule " + std::to_string(key.node) + ' ' +
@@ -226,14 +140,14 @@ std::string ProfileSink::to_jsonl() const {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"counter\",\"name\":";
     out += json_quote(to_string(static_cast<Counter>(i)));
-    out += ",\"value\":" + std::to_string(master_.counters[i]);
+    out += ",\"value\":" + std::to_string(counters_[i]);
     out += "}\n";
   }
   for (std::size_t i = 0; i < kProfShards; ++i) {
     out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"shard\",\"shard\":" +
            std::to_string(i);
-    out += ",\"hits\":" + std::to_string(master_.shard_hits[i]);
-    out += ",\"misses\":" + std::to_string(master_.shard_misses[i]);
+    out += ",\"hits\":" + std::to_string(shard_hits_[i]);
+    out += ",\"misses\":" + std::to_string(shard_misses_[i]);
     out += "}\n";
   }
   for (const auto& [key, r] : rules_) {
@@ -257,11 +171,17 @@ std::string ProfileSink::to_jsonl() const {
     }
     out += "]}\n";
   }
+  // The explore row is the remainder, so the phase rows sum to the run wall.
+  double phase_s[kPhaseCount];
+  std::copy(std::begin(phase_s_), std::end(phase_s_), phase_s);
+  auto at = [&](Phase p) -> double& { return phase_s[static_cast<std::size_t>(p)]; };
+  at(Phase::kExplore) = explore_wall(run_wall_s_, at(Phase::kSweep), at(Phase::kSoundness),
+                                     at(Phase::kDrain), at(Phase::kCheckpoint));
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    if (master_.phase_s[p] == 0.0) continue;
+    if (phase_s[p] == 0.0) continue;
     out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"phase\",\"phase\":";
     out += json_quote(phase_name(p));
-    out += ",\"wall_s\":" + json_double(master_.phase_s[p]);
+    out += ",\"wall_s\":" + json_double(phase_s[p]);
     out += "}\n";
   }
   return out;
@@ -309,8 +229,7 @@ bool merge_prof_line(const std::string& line, ProfileData& data) {
   if (kind == "meta") {
     const unsigned threads = static_cast<unsigned>(get_u64(v, "threads"));
     if (threads > data.threads) data.threads = threads;
-    const double wall = get_dbl(v, "run_wall_s");
-    if (wall > data.run_wall_s) data.run_wall_s = wall;
+    data.run_wall_s += get_dbl(v, "run_wall_s");
   } else if (kind == "counter") {
     const JsonValue* name = v.get("name");
     if (name == nullptr || !name->is_string()) return false;
@@ -447,6 +366,7 @@ bool validate_prof_value(const JsonValue& v, std::string* err) {
     }
     if (!known) return fail("prof phase line has unknown phase " + p->str);
     if (!need_num("wall_s")) return fail("prof phase line missing \"wall_s\"");
+    if (v.get("wall_s")->as_double() < 0.0) return fail("prof phase " + p->str + " is negative");
     return true;
   }
   return fail("lmc-prof/1 line has unknown kind " + k->str);

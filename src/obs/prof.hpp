@@ -4,22 +4,17 @@
 // granularity: a typed counter registry (bytes hashed/serialized, states
 // canonicalized, ExecCache hits/misses per shard, POR prunes, orbit
 // collapses, ...), per handler rule a run/byte ledger plus a log-bucketed
-// wall-time histogram, and per-phase wall seconds. Like the TraceSink it
-// has two append paths:
-//  * count()/rule()/... — the checker's deterministic merge/apply path
-//    accumulates straight into the master slab;
-//  * count_worker()/time_worker() — pool workers accumulate into per-lane
-//    slabs (one per thread, owner-only writes, no locks on the hot path);
-//    drain_workers() folds the slabs into the master at the same
-//    deterministic points where the checker merges worker results.
-// Because every identity quantity (counts and byte totals) is a pure
-// function of the exploration and addition commutes, the merged identity
-// aggregates — identity_text() — are byte-identical at 1 vs N threads.
-// Wall seconds and histograms are ATTRIBUTION: they depend on the machine
-// and scheduling and are excluded from identity (exactly the trace layer's
-// identity/attribution split). The sink is runtime-only state — it is never
-// serialized into checkpoints, so normalized checkpoint bytes are identical
-// with profiling on or off (tests/test_obs.cpp pins both obligations).
+// wall-time histogram, and the run's layer ledger (per-phase wall seconds
+// and the run wall). Every call comes from the checker's deterministic
+// merge/apply thread, so the sink needs no locks. Because every identity
+// quantity (counts and byte totals) is a pure function of the exploration,
+// the identity aggregates — identity_text() — are byte-identical at 1 vs N
+// threads. Wall seconds and histograms are ATTRIBUTION: they depend on the
+// machine and scheduling and are excluded from identity (exactly the trace
+// layer's identity/attribution split). The sink is runtime-only state — it
+// is never serialized into checkpoints, so normalized checkpoint bytes are
+// identical with profiling on or off (tests/test_obs.cpp pins both
+// obligations).
 //
 // Cost contract: profiling is compiled in but off by default. Hot-path call
 // sites are guarded by the LMC_PROF macro below — a null-pointer test is
@@ -28,8 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,8 +32,8 @@ namespace lmc::obs {
 
 /// The typed counter registry. Every counter is an identity quantity: its
 /// final value is a pure function of the exploration (bumped only on the
-/// deterministic apply/merge path or summed commutatively from worker
-/// lanes), so it participates in the 1-vs-N byte-identity contract.
+/// deterministic apply/merge path), so it participates in the 1-vs-N
+/// byte-identity contract.
 enum class Counter : std::uint8_t {
   kBytesHashed = 0,       ///< state-blob bytes run through hash_blob
   kBytesSerialized,       ///< result-state + sent-message bytes produced
@@ -97,45 +90,22 @@ struct RuleProf {
 
 class ProfileSink {
  public:
-  ProfileSink();
-
-  // ---- deterministic-thread accumulation -------------------------------
   void count(Counter c, std::uint64_t delta = 1);
   /// Per-shard ExecCache attribution for one authoritative lookup.
   void count_shard(std::size_t shard, bool hit);
   /// One applied handler execution of `key`.
   void rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
             std::uint64_t hash_bytes, double exec_s);
-  /// Accumulate wall seconds into a phase bucket (attribution).
+  /// Charge wall seconds to a measured layer (sweep, soundness, drain,
+  /// checkpoint). Explore is never charged: it is the remainder.
   void phase_wall(Phase p, double secs);
-  /// Record the run's cumulative elapsed seconds (set-latest, not summed:
-  /// resumed segments report a cumulative figure).
-  void run_wall(double elapsed_s);
+  /// Add one run segment's wall seconds. Segments add up, so a sink shared
+  /// by several runs (online periods, bench sweeps, resumes) stays a ledger.
+  void run_wall(double segment_s);
   /// Note the configured thread count (reports want it; not identity).
   void note_threads(unsigned n) { threads_ = n; }
 
-  // ---- worker-lane accumulation ----------------------------------------
-  /// Bump a counter from a pool worker: goes to the calling thread's lane
-  /// slab. Owner-only writes — no lock after the lane is registered.
-  void count_worker(Counter c, std::uint64_t delta = 1);
-  /// Attribute wall seconds to a phase from a pool worker.
-  void time_worker(Phase p, double secs);
-  /// Fold all lane slabs into the master slab. Must be called from the
-  /// deterministic thread while workers are idle (after the fan-out
-  /// returned) — the same points where the trace sink drains.
-  void drain_workers();
-
-  // ---- inspection ------------------------------------------------------
   std::uint64_t counter(Counter c) const;
-  std::uint64_t shard_hits(std::size_t shard) const;
-  std::uint64_t shard_misses(std::size_t shard) const;
-  const std::map<RuleKey, RuleProf>& rules() const { return rules_; }
-  double phase_seconds(Phase p) const;
-  double run_seconds() const { return run_wall_s_; }
-  unsigned threads() const { return threads_; }
-  std::size_t lanes() const;
-
-  void clear();
 
   /// Canonical rendering of the identity aggregates — every counter (in
   /// enum order), every shard's hits/misses, every rule's identity fields
@@ -144,35 +114,24 @@ class ProfileSink {
   std::string identity_text() const;
 
   /// Serialize as "lmc-prof/1" JSON lines (meta, counter, shard, rule and
-  /// phase records — see DESIGN.md §15).
+  /// phase records — see DESIGN.md §15). The explore phase row is derived
+  /// with explore_wall, so the phase rows sum to the run wall.
   std::string to_jsonl() const;
   void write_jsonl(const std::string& path) const;
 
  private:
-  /// One accumulation slab: the master and each worker lane own one.
-  struct Slab {
-    std::uint64_t counters[static_cast<std::size_t>(Counter::kCount)] = {};
-    std::uint64_t shard_hits[kProfShards] = {};
-    std::uint64_t shard_misses[kProfShards] = {};
-    double phase_s[7] = {};  ///< indexed by Phase
-  };
-  struct Lane {
-    Slab slab;
-  };
-  Lane* this_thread_lane();
-
-  std::uint64_t uid_;  ///< process-unique; keys the thread-local lane cache
   unsigned threads_ = 0;
   double run_wall_s_ = 0.0;
-  Slab master_;
-  std::map<RuleKey, RuleProf> rules_;  ///< deterministic-thread only
-  mutable std::mutex lanes_mu_;  ///< guards lane registration/growth only
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::uint64_t counters_[static_cast<std::size_t>(Counter::kCount)] = {};
+  std::uint64_t shard_hits_[kProfShards] = {};
+  std::uint64_t shard_misses_[kProfShards] = {};
+  double phase_s_[7] = {};  ///< indexed by Phase
+  std::map<RuleKey, RuleProf> rules_;
 };
 
 /// Parsed/merged form of one or more lmc-prof/1 streams (lmc_report and the
-/// Chrome exporter consume this). Merging sums identity fields and phase
-/// seconds; run wall and threads take the maximum seen.
+/// Chrome exporter consume this). Merging sums identity fields, phase
+/// seconds and run walls; threads take the maximum seen.
 struct ProfileData {
   unsigned threads = 0;
   double run_wall_s = 0.0;
@@ -198,7 +157,8 @@ struct ProfileData {
 bool merge_prof_line(const std::string& line, ProfileData& data);
 
 /// Structural validation of one parsed lmc-prof/1 object (lmc_report
-/// --validate). `err` gets a human-readable reason on failure.
+/// --validate); a phase row must not be negative. `err` gets a
+/// human-readable reason on failure.
 bool validate_prof_value(const struct JsonValue& v, std::string* err);
 
 }  // namespace lmc::obs

@@ -47,7 +47,7 @@ ReportSummary summarize(const std::vector<TraceEvent>& events) {
         s.final_transitions = ev.a;
         s.confirmed = ev.b;
         s.completed = ev.c != 0;
-        s.elapsed_s = ev.dur;
+        s.elapsed_s += ev.dur;
         break;
       case EventType::kRoundBegin:
       case EventType::kRoundEnd:
@@ -86,7 +86,6 @@ ReportSummary summarize(const std::vector<TraceEvent>& events) {
         ++s.soundness_jobs;
         if (ev.a < 5) ++s.verdicts[ev.a];
         s.schedules += ev.b;
-        s.soundness_agg_s += ev.dur;
         break;
       case EventType::kSoundnessPhase:
         s.soundness_wall_s += ev.dur;
@@ -131,6 +130,18 @@ void phase_row(std::FILE* out, const char* name, double secs, double elapsed,
   std::fprintf(out, "  %-22s %10.4fs %6.1f%%  %s\n", name, secs, pct, note);
 }
 
+/// The five layers of the run ledger; they sum to `run`. Returns explore.
+double layer_rows(std::FILE* out, double run, double sweep, double soundness, double drain,
+                  double checkpoint) {
+  const double explore = explore_wall(run, sweep, soundness, drain, checkpoint);
+  phase_row(out, "explore", explore, run, "remainder of the run wall");
+  phase_row(out, "combination sweep", sweep, run, "enumeration only");
+  phase_row(out, "soundness", soundness, run, "phase-1 verification");
+  phase_row(out, "deferred drain", drain, run, "phase-2 verification");
+  phase_row(out, "checkpointing", checkpoint, run, "auto-checkpoint saves");
+  return explore;
+}
+
 }  // namespace
 
 void print_report(const ReportSummary& s, std::FILE* out) {
@@ -164,14 +175,7 @@ void print_report(const ReportSummary& s, std::FILE* out) {
                  s.por_prune_rounds, s.por_conservative);
 
   std::fprintf(out, "where did time go (elapsed %.4fs):\n", s.elapsed_s);
-  phase_row(out, "handler execution", s.handler_exec_s, s.elapsed_s,
-            "aggregate across workers");
-  phase_row(out, "combination sweep", s.sweep_s, s.elapsed_s, "wall (deterministic thread)");
-  phase_row(out, "soundness (wall)", s.soundness_wall_s, s.elapsed_s, "wall");
-  phase_row(out, "soundness (aggregate)", s.soundness_agg_s, s.elapsed_s,
-            "sum over jobs; exceeds wall when parallel");
-  phase_row(out, "deferred drain", s.deferred_s, s.elapsed_s, "wall");
-  phase_row(out, "checkpointing", s.checkpoint_s, s.elapsed_s, "wall");
+  layer_rows(out, s.elapsed_s, s.sweep_s, s.soundness_wall_s, s.deferred_s, s.checkpoint_s);
 
   if (!s.rules.empty()) {
     std::fprintf(out, "per-rule (node, kind):\n");
@@ -217,28 +221,19 @@ std::string report_bench_json(const ReportSummary& s, const std::string& case_la
   rec.metric("handler_exec_s", s.handler_exec_s);
   rec.metric("sweep_s", s.sweep_s);
   rec.metric("soundness_wall_s", s.soundness_wall_s);
-  rec.metric("soundness_agg_s", s.soundness_agg_s);
   rec.metric("deferred_s", s.deferred_s);
   rec.metric("checkpoint_s", s.checkpoint_s);
   return rec.to_json();
 }
 
 void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE* out) {
-  const double sweep = prof.phase_s[static_cast<std::size_t>(Phase::kSweep)];
-  const double soundness = prof.phase_s[static_cast<std::size_t>(Phase::kSoundness)];
-  const double drain = prof.phase_s[static_cast<std::size_t>(Phase::kDrain)];
-  // Explore wall is derived, not measured: what remains of the run after the
-  // deterministic sweep windows and the phase-2 drain (the metrics heartbeat
-  // uses the same formula). Phase-1 soundness walls sit inside the sweep
-  // windows, mirroring LocalMcStats.
-  const double explore = std::max(0.0, prof.run_wall_s - sweep - drain);
+  auto at = [&](Phase p) { return prof.phase_s[static_cast<std::size_t>(p)]; };
   std::fprintf(out, "lmc_report --profile: %zu prof line(s), %u thread(s), run wall %.4fs\n",
                prof.lines, prof.threads, prof.run_wall_s);
   std::fprintf(out, "phase wall:\n");
-  phase_row(out, "explore", explore, prof.run_wall_s, "derived: run - sweep - drain");
-  phase_row(out, "combination sweep", sweep, prof.run_wall_s, "includes phase-1 soundness");
-  phase_row(out, "soundness", soundness, prof.run_wall_s, "wall (both phases)");
-  phase_row(out, "deferred drain", drain, prof.run_wall_s, "wall");
+  const double explore = layer_rows(out, prof.run_wall_s, at(Phase::kSweep),
+                                    at(Phase::kSoundness), at(Phase::kDrain),
+                                    at(Phase::kCheckpoint));
 
   std::fprintf(out, "counters:\n");
   for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount); ++i)

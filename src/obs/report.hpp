@@ -1,13 +1,15 @@
 // Trace/metrics analysis behind the lmc_report CLI (DESIGN.md §10).
 //
 // A report ingests "lmc-trace/1" (and optionally "lmc-metrics/1") JSONL and
-// rebuilds the checker's aggregate counters from first principles: phase
+// rebuilds the checker's aggregate counters from first principles: layer
 // wall seconds are sums of the per-event durations IN FILE ORDER — the same
-// order the checker accumulated them into LocalMcStats — so for a trace
-// covering a full fresh run the reproduced elapsed_s / soundness_wall_s /
-// deferred_s / transition totals agree with the stats struct counter-exactly
-// (bit-for-bit for the doubles; tests/test_obs.cpp pins this). Traces of
-// resumed runs only cover their own segment; kRunBegin carries the base
+// order the checker charged them to LocalMcStats, one event per charge — so
+// for a trace covering a full fresh run the reproduced elapsed_s and the
+// four layer fields (system_state_s, soundness_wall_s, deferred_s,
+// checkpoint_s) and the transition totals agree with the stats struct
+// counter-exactly (bit-for-bit for the doubles; tests/test_obs.cpp pins
+// this). kRunEnd carries each segment's wall, so a trace of several runs or
+// resumed segments sums to their total; kRunBegin carries the base
 // transition count so the report can still show run-relative totals.
 #pragma once
 
@@ -55,13 +57,12 @@ struct ReportSummary {
   bool completed = false;               ///< from the last kRunEnd `c`
 
   // Durations, summed in file order (= stats accumulation order).
-  double elapsed_s = 0.0;         ///< last kRunEnd dur (cumulative)
-  double sweep_s = 0.0;           ///< Σ kComboSweep dur  (== stats system_state_s)
-  double soundness_wall_s = 0.0;  ///< Σ kSoundnessPhase dur
-  double soundness_agg_s = 0.0;   ///< Σ kSoundnessVerdict dur (== stats soundness_s)
-  double deferred_s = 0.0;        ///< Σ kDeferralDrain dur
-  double checkpoint_s = 0.0;      ///< Σ kCheckpointSave dur
-  double handler_exec_s = 0.0;    ///< Σ kHandlerRun dur (aggregate across workers)
+  double elapsed_s = 0.0;         ///< Σ kRunEnd dur (segment walls)
+  double sweep_s = 0.0;           ///< Σ kComboSweep dur     (== stats system_state_s)
+  double soundness_wall_s = 0.0;  ///< Σ kSoundnessPhase dur (== stats soundness_wall_s)
+  double deferred_s = 0.0;        ///< Σ kDeferralDrain dur  (== stats deferred_s)
+  double checkpoint_s = 0.0;      ///< Σ kCheckpointSave dur (== stats checkpoint_s)
+  double handler_exec_s = 0.0;    ///< Σ kHandlerRun dur (summed across workers; not a layer)
 
   struct RuleLine {
     std::uint64_t runs = 0;
@@ -91,9 +92,9 @@ void print_report(const ReportSummary& s, std::FILE* out);
 /// The report's own "lmc-bench/1" record (bench="lmc_report", case=label).
 std::string report_bench_json(const ReportSummary& s, const std::string& case_label);
 
-/// Render a merged "lmc-prof/1" profile (lmc_report --profile): phase walls
-/// with the explore share derived as run_wall - sweep - drain (the same
-/// formula the metrics heartbeat uses), the typed counter registry, the
+/// Render a merged "lmc-prof/1" profile (lmc_report --profile): the layer
+/// walls with explore derived by explore_wall (as the metrics heartbeat
+/// does), the typed counter registry, the
 /// per-shard ExecCache table, and the top_k hottest rules by handler wall
 /// seconds with per-transition serialize/hash byte costs.
 void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE* out);

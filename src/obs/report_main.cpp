@@ -13,9 +13,10 @@
 // $LMC_BENCH_JSON).
 //
 // Validation mode checks every non-empty line of each file against the obs
-// schemas ("lmc-trace/1", "lmc-metrics/1", "lmc-bench/1", "lmc-prof/1") —
-// CI runs it over all artifacts a job produced. Exit: 0 ok, 1 invalid
-// lines, 2 usage/IO.
+// schemas ("lmc-trace/1", "lmc-metrics/1", "lmc-bench/1", "lmc-prof/1"),
+// and each file's lmc-prof/1 ledger: no phase row negative, the rows summing
+// to the run wall within 2% — CI runs it over all artifacts a job produced.
+// Exit: 0 ok, 1 invalid lines or ledger, 2 usage/IO.
 //
 // Profile mode merges every "lmc-prof/1" line from the given files and
 // prints phase walls, the counter registry, the per-shard ExecCache table
@@ -78,16 +79,13 @@ int run_validate(const std::vector<std::string>& files) {
       std::fprintf(stderr, "lmc_report: cannot open %s\n", path.c_str());
       return 2;
     }
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      ++total;
-      std::string err;
-      if (!lmc::obs::validate_obs_line(lines[i], &err)) {
-        ++bad;
-        std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), i + 1, err.c_str());
-      }
+    total += lines.size();
+    for (const std::string& problem : lmc::obs::validate_obs_file(lines)) {
+      ++bad;
+      std::fprintf(stderr, "%s:%s\n", path.c_str(), problem.c_str());
     }
   }
-  std::printf("lmc_report --validate: %" PRIu64 " line(s), %" PRIu64 " invalid\n", total, bad);
+  std::printf("lmc_report --validate: %" PRIu64 " line(s), %" PRIu64 " problem(s)\n", total, bad);
   return bad > 0 ? 1 : 0;
 }
 

@@ -25,6 +25,11 @@ std::uint64_t next_sink_uid() {
 
 }  // namespace
 
+double explore_wall(double run_s, double sweep_s, double soundness_s, double drain_s,
+                    double checkpoint_s) {
+  return run_s - sweep_s - soundness_s - drain_s - checkpoint_s;
+}
+
 const char* to_string(EventType t) {
   switch (t) {
     case EventType::kRunBegin: return "run_begin";

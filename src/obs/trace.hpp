@@ -45,20 +45,29 @@ enum class Phase : std::uint8_t {
   kOnline = 6,     ///< CrystalBall period loop
 };
 
+/// The explore layer of the run ledger (DESIGN.md §10): the run wall less
+/// the four measured layers. The checker charges each wall second to at
+/// most one of sweep, soundness (phase 1), drain and checkpoint, so the
+/// remainder is never negative on a well-formed ledger; it is not clamped,
+/// so an overlap shows. The metrics heartbeat, lmc_report and lmc_report
+/// --profile all derive explore here.
+double explore_wall(double run_s, double sweep_s, double soundness_s, double drain_s,
+                    double checkpoint_s);
+
 enum class EventType : std::uint8_t {
   kRunBegin = 0,         ///< a=mode (0 init, 2 resume; 1 is unused), b=base transitions, c=threads
-  kRunEnd = 1,           ///< a=transitions, b=confirmed, c=completed; dur=elapsed_s (cumulative)
+  kRunEnd = 1,           ///< a=transitions, b=confirmed, c=completed; dur=this segment's wall s
   kRoundBegin = 2,       ///< a=tasks collected
   kRoundEnd = 3,         ///< a=tasks, b=total node states, c=I+ size; dur=round wall s
   kHandlerRun = 4,       ///< worker: a=is_message, b=ev_hash, c=cached; dur=exec s; seq=task idx
   kHandlerApply = 5,     ///< apply: a=cached, b=ev_hash, c=outcome (0 new, 1 dedup, 2 self-loop, 3 assert-discard)
   kStateInsert = 6,      ///< a=state idx, b=state hash, c=chain depth
   kIplusAppend = 7,      ///< a=msg hash, b=I+ size after; node=dst
-  kComboSweep = 8,       ///< a=site (0 apply, 2 snapshot; 1 is unused), b=combos checked, c=prelims; dur=sweep+verify wall s
+  kComboSweep = 8,       ///< a=site (0 apply, 2 snapshot; 1 is unused), b=combos checked, c=prelims; dur=sweep wall s (verification excluded)
   kSoundnessRun = 9,     ///< worker: a=verdict kind, dur=verify s; seq=job idx
   kSoundnessVerdict = 10,///< merge: a=verdict kind, b=schedules checked, c=phase2; dur=verify s; seq=job idx
-  kSoundnessPhase = 11,  ///< one verify_prelims call: a=jobs, b=phase2; dur=wall s
-  kDeferralDrain = 12,   ///< phase-2 drain: a=jobs drained; dur=wall s
+  kSoundnessPhase = 11,  ///< one phase-1 verify_prelims call: a=jobs, b=0; dur=wall s
+  kDeferralDrain = 12,   ///< phase-2 drain (its verify_prelims call): a=jobs drained; dur=wall s
   kCheckpointSave = 13,  ///< a=ok, b=checkpoints_written so far; dur=save wall s
   // 14 is unused; the other values keep their numbers.
   kOnlinePeriod = 15,    ///< a=period idx, b=transitions, c=found; dur=checker wall s

@@ -173,7 +173,7 @@ Blob enc_stats(const LocalMcStats& s) {
   w.u64(s.checkpoint_failures);
   w.u64(s.stored_bytes);
   w.u64(d2u(s.elapsed_s));
-  w.u64(d2u(s.soundness_s));
+  w.u64(d2u(s.checkpoint_s));
   w.u64(d2u(s.system_state_s));
   w.u64(d2u(s.deferred_s));
   w.u64(d2u(s.soundness_wall_s));
@@ -393,7 +393,7 @@ void dec_stats(Reader& r, LocalMcStats& s) {
   s.checkpoint_failures = r.u64();
   s.stored_bytes = r.u64();
   s.elapsed_s = u2d(r.u64());
-  s.soundness_s = u2d(r.u64());
+  s.checkpoint_s = u2d(r.u64());
   s.system_state_s = u2d(r.u64());
   s.deferred_s = u2d(r.u64());
   s.soundness_wall_s = u2d(r.u64());

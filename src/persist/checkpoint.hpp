@@ -42,7 +42,7 @@ class CheckpointError : public std::runtime_error {
 inline constexpr char kCheckpointMagic[8] = {'L', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
 // Writers emit this version and the reader accepts exactly it (FORMAT.md
 // "Versioning" keeps the history).
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// Section ids of the container format. Ids are stable across versions;
 /// readers skip ids they do not know.

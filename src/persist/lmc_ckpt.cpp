@@ -62,9 +62,10 @@ int cmd_inspect_json(const std::string& path) {
   rec.metric("deferred_dropped", img.stats.deferred_dropped);
   rec.metric("checkpoints_written", img.stats.checkpoints_written);
   rec.metric("elapsed_s", img.stats.elapsed_s);
-  rec.metric("soundness_s", img.stats.soundness_s);
+  rec.metric("system_state_s", img.stats.system_state_s);
   rec.metric("soundness_wall_s", img.stats.soundness_wall_s);
   rec.metric("deferred_s", img.stats.deferred_s);
+  rec.metric("checkpoint_s", img.stats.checkpoint_s);
   rec.metric("completed", static_cast<std::uint64_t>(img.stats.completed ? 1 : 0));
   if (info.has_symmetry) {
     rec.metric("sym_orbits", info.sym_orbits);

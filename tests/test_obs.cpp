@@ -1,11 +1,12 @@
 // Observability layer (DESIGN.md §10, §15): trace determinism +
 // non-perturbation over the frozen fuzz corpus, counter-exact report
-// reproduction, JSONL round-trips, schema validation, the LMC_TRACE /
-// LMC_PROF cost contracts, the profiling identity contract (1-vs-8-thread
-// byte identity, checkpoint non-perturbation), the Chrome trace_event
-// export, baseline missing-case reporting, and the checkpoint v3 stats
-// fields (deferred_dropped counter, soundness_wall_s) including v2 read
-// compatibility.
+// reproduction, the layer ledger (the report reproduces the five ledger
+// fields, explore is never negative, shared profile sinks and the
+// --validate ledger check), JSONL round-trips, schema validation, the
+// LMC_TRACE / LMC_PROF cost contracts, the profiling identity contract
+// (1-vs-8-thread byte identity, checkpoint non-perturbation), the Chrome
+// trace_event export, baseline missing-case reporting, and the checkpoint
+// stats fields and version window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
+#include "live_states.hpp"
 #include "mc/local_mc.hpp"
 #include "obs/baseline.hpp"
 #include "obs/bench_schema.hpp"
@@ -23,6 +25,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "persist/checkpoint.hpp"
+#include "protocols/paxos.hpp"
 #include "protocols/tree.hpp"
 #include "runtime/hash.hpp"
 
@@ -51,6 +54,18 @@ LocalMcOptions corpus_options(unsigned threads, obs::TraceSink* trace) {
   return opt;
 }
 
+std::vector<std::string> jsonl_lines(const std::string& jsonl) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start < jsonl.size()) {
+    const std::size_t end = jsonl.find('\n', start);
+    lines.push_back(jsonl.substr(start, end - start));
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  return lines;
+}
+
 /// The identity stream with the one deliberately thread-count-dependent
 /// field (kRunBegin's c = configured threads) masked out.
 std::vector<obs::EventIdentity> thread_invariant_identities(const std::vector<TraceEvent>& evs) {
@@ -73,8 +88,8 @@ void expect_counter_exact(const obs::ReportSummary& sum, const LocalMcStats& st)
   EXPECT_EQ(sum.elapsed_s, st.elapsed_s);
   EXPECT_EQ(sum.sweep_s, st.system_state_s);
   EXPECT_EQ(sum.soundness_wall_s, st.soundness_wall_s);
-  EXPECT_EQ(sum.soundness_agg_s, st.soundness_s);
   EXPECT_EQ(sum.deferred_s, st.deferred_s);
+  EXPECT_EQ(sum.checkpoint_s, st.checkpoint_s);
 }
 
 // --- trace primitives -------------------------------------------------------
@@ -303,6 +318,39 @@ TEST(ObsChecker, TreeRunTracedVsUntracedAndReport) {
     start = end + 1;
   }
   EXPECT_EQ(lines, trace.events().size());
+
+  // The layer ledger on a run with both verification phases (stale-promise
+  // buggy Paxos: the quick pass defers, the drain confirms), auto-
+  // checkpointing so a run that outlasts the interval charges every
+  // measured layer (the interval is long because each save serializes the
+  // whole store). The trace report reproduces all five ledger fields
+  // bit-for-bit, and explore — the remainder — is not negative, with no
+  // clamping anywhere.
+  const SystemConfig pcfg = live_states::duel_cfg(3, /*bug=*/true);
+  auto pinv = paxos::make_agreement_invariant();
+  const live_states::Live live = live_states::build_stale_promise_state(pcfg, 3);
+  for (unsigned threads : {1u, 4u}) {
+    obs::TraceSink ptrace;
+    LocalMcOptions opt;
+    opt.max_total_depth = 12;
+    opt.use_projection = true;
+    opt.stop_on_confirmed = false;
+    opt.num_threads = threads;
+    opt.checkpoint_every_s = 0.25;
+    opt.checkpoint_path = ::testing::TempDir() + "obs_ledger.lmcckpt";
+    opt.trace = &ptrace;
+    LocalModelChecker mc(pcfg, pinv.get(), opt);
+    mc.run(live.nodes, live.flight);
+    const LocalMcStats& st = mc.stats();
+    ASSERT_TRUE(st.completed) << threads;
+    EXPECT_GT(st.soundness_calls, 0u);
+    EXPECT_GT(st.deferred_processed, 0u);
+    expect_counter_exact(obs::summarize(ptrace.events()), st);
+    EXPECT_GE(obs::explore_wall(st.elapsed_s, st.system_state_s, st.soundness_wall_s,
+                                st.deferred_s, st.checkpoint_s),
+              0.0)
+        << threads << " thread(s)";
+  }
 }
 
 // The tentpole contract over the frozen fuzz corpus: for every seed, at 1
@@ -400,20 +448,6 @@ TEST(ObsProf, TimeHistBucketsAreLog2Nanoseconds) {
   EXPECT_EQ(h.count[1], 2u);
 }
 
-TEST(ObsProf, WorkerLanesFoldOnDrain) {
-  obs::ProfileSink sink;
-  sink.count_worker(obs::Counter::kSoundnessJobs, 5);
-  sink.time_worker(obs::Phase::kSoundness, 0.25);
-  // Worker-lane writes are invisible until the deterministic drain point.
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 0u);
-  sink.drain_workers();
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 5u);
-  EXPECT_EQ(sink.phase_seconds(obs::Phase::kSoundness), 0.25);
-  // Draining is move-out, not copy: a second drain adds nothing.
-  sink.drain_workers();
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 5u);
-}
-
 TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   obs::ProfileSink sink;
   sink.note_threads(4);
@@ -441,6 +475,7 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   }
   EXPECT_EQ(data.threads, 4u);
   EXPECT_EQ(data.run_wall_s, 1.5);
+  EXPECT_EQ(data.phase_s[static_cast<std::size_t>(obs::Phase::kExplore)], 1.0);  // remainder
   EXPECT_EQ(data.counters[static_cast<std::size_t>(obs::Counter::kBytesHashed)], 1000u);
   EXPECT_EQ(data.counters[static_cast<std::size_t>(obs::Counter::kHandlerRuns)], 7u);
   EXPECT_EQ(data.shard_hits[3], 1u);
@@ -461,6 +496,55 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   EXPECT_FALSE(obs::validate_obs_line(
       "{\"schema\":\"lmc-prof/1\",\"kind\":\"bogus\"}", &err));
   EXPECT_FALSE(obs::validate_obs_line("{\"schema\":\"lmc-prof/1\"}", &err));
+}
+
+// lmc_report --validate checks each file's profile ledger: a good file
+// passes; a negative row or rows that do not sum to the run wall fail.
+TEST(ObsProf, ValidateChecksEachFilesLedger) {
+  obs::ProfileSink sink;
+  sink.run_wall(2.0);
+  sink.phase_wall(obs::Phase::kSweep, 0.5);
+  sink.phase_wall(obs::Phase::kDrain, 1.0);
+  std::vector<std::string> file = jsonl_lines(sink.to_jsonl());
+  EXPECT_TRUE(obs::validate_obs_file(file).empty());
+
+  // A second drain row — what folding per-job seconds into a wall row did —
+  // pushes the rows past the run wall.
+  file.push_back(
+      "{\"schema\":\"lmc-prof/1\",\"kind\":\"phase\",\"phase\":\"drain\",\"wall_s\":1}");
+  const std::vector<std::string> bad = obs::validate_obs_file(file);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_NE(bad[0].find("ledger"), std::string::npos) << bad[0];
+
+  // Layers larger than the run leave a negative explore row.
+  sink.phase_wall(obs::Phase::kSoundness, 1.0);
+  EXPECT_FALSE(obs::validate_obs_file(jsonl_lines(sink.to_jsonl())).empty());
+}
+
+// Two runs into one ProfileSink, as bench sweeps and CrystalBall periods do:
+// segment walls add up like the phase rows, so no row exceeds 100%.
+TEST(ObsProf, SharedSinkRowsStayWithinTheRunWall) {
+  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(14));
+  obs::ProfileSink prof;
+  for (unsigned threads : {1u, 4u}) {
+    LocalMcOptions opt = corpus_options(threads, nullptr);
+    opt.profile = &prof;
+    LocalModelChecker mc(p.cfg, p.invariant.get(), opt);
+    mc.run_from_initial();
+    ASSERT_GT(mc.stats().deferred_processed, 0u);  // both verification phases ran
+  }
+  const std::vector<std::string> file = jsonl_lines(prof.to_jsonl());
+  obs::ProfileData data;
+  for (const std::string& line : file) obs::merge_prof_line(line, data);
+  ASSERT_GT(data.run_wall_s, 0.0);
+  double rows = 0.0;
+  for (double secs : data.phase_s) {
+    EXPECT_GE(secs, 0.0);
+    EXPECT_LE(secs, data.run_wall_s);
+    rows += secs;
+  }
+  EXPECT_NEAR(rows, data.run_wall_s, 0.02 * data.run_wall_s);
+  EXPECT_TRUE(obs::validate_obs_file(file).empty());
 }
 
 // The tentpole contract over a frozen-corpus slice: the profile's identity

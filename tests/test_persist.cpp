@@ -379,6 +379,12 @@ TEST(Persist, InterruptedResumeFindsSameWidsViolation) {
   b.run(nodes, {});
   ASSERT_FALSE(b.stats().completed);
   ASSERT_EQ(b.stats().confirmed_violations, 0u) << "half budget must interrupt before the bug";
+  // The budget stop skipped the phase-2 drain: every deferral is still
+  // queued and none was verified, so b's 0 confirmed is only a lower bound.
+  const std::uint64_t queued = b.stats().soundness_deferred;
+  EXPECT_GT(queued, 0u);
+  EXPECT_EQ(b.stats().deferred_processed, 0u);
+  EXPECT_EQ(decode_checkpoint(b.checkpoint_bytes()).deferred.size(), queued);
 
   const std::string path = temp_path("ckpt_resume_wids.lmcckpt");
   b.save_checkpoint(path);
@@ -386,6 +392,16 @@ TEST(Persist, InterruptedResumeFindsSameWidsViolation) {
   LocalModelChecker c(cfg, inv.get(), full);
   c.run_resumed(path);
   expect_equal(fingerprint(a, cfg.num_nodes), fingerprint(c, cfg.num_nodes));
+  // c stops at the bug in phase 1, as a did. Without stop_on_confirmed the
+  // same checkpoint resumes into a completed search that drains the queue
+  // it inherited.
+  LocalMcOptions sweep = full;
+  sweep.stop_on_confirmed = false;
+  LocalModelChecker d(cfg, inv.get(), sweep);
+  d.run_resumed(path);
+  EXPECT_TRUE(d.stats().completed);
+  EXPECT_GE(d.stats().deferred_processed, queued);
+  EXPECT_EQ(d.stats().deferred_processed, d.stats().soundness_deferred);
 
   const LocalViolation* v = c.first_confirmed();
   ASSERT_NE(v, nullptr);
